@@ -54,9 +54,7 @@
 // file (converting between flavors as the extensions say) and `dataset
 // randset` writes seeded synthetic rows — the quick way to cut
 // pinned-scale inputs for benches and recall checks.
-// The PR-3 commands `insert`/`erase` remain as deprecated aliases of
-// `collection upsert`/`collection delete` (each prints a one-line
-// deprecation note). Wherever the tool answers queries, `--threads=N`
+// Wherever the tool answers queries, `--threads=N`
 // (default: the hardware concurrency) sizes the process task executor and
 // the query fan-out; pass `--threads=1` when timing per-query latency.
 //
@@ -96,7 +94,6 @@
 #include "exec/task_executor.h"
 #include "core/index_factory.h"
 #include "dataset/ground_truth.h"
-#include "dataset/io.h"
 #include "dataset/stats.h"
 #include "dataset/synthetic.h"
 #include "durability/snapshot.h"
@@ -144,6 +141,61 @@ class Args {
  private:
   std::map<std::string, std::string> values_;
 };
+
+// True when `path` names a `.bvecs` file (case-sensitive, like the rest
+// of the TEXMEX ecosystem).
+bool IsBvecsPath(const std::string& path) {
+  const std::string ext = ".bvecs";
+  return path.size() >= ext.size() &&
+         path.compare(path.size() - ext.size(), ext.size(), ext) == 0;
+}
+
+// Writes `count` rows of `dim` floats to `path` in the extension's vecs
+// flavor: fvecs verbatim, bvecs rounded and clamped to [0, 255].
+int WriteVecsRows(const std::string& path, const float* values, size_t count,
+                  size_t dim) {
+  std::FILE* out = std::fopen(path.c_str(), "wb");
+  if (out == nullptr) {
+    std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
+    return 1;
+  }
+  const bool bvecs = IsBvecsPath(path);
+  const int32_t d = static_cast<int32_t>(dim);
+  std::vector<uint8_t> bytes(bvecs ? dim : 0);
+  bool ok = true;
+  for (size_t i = 0; i < count && ok; ++i) {
+    const float* row = values + i * dim;
+    ok = std::fwrite(&d, sizeof(d), 1, out) == 1;
+    if (!ok) break;
+    if (bvecs) {
+      for (size_t j = 0; j < dim; ++j) {
+        const float v = std::nearbyint(row[j]);
+        bytes[j] = static_cast<uint8_t>(v < 0.f ? 0.f : v > 255.f ? 255.f
+                                                                  : v);
+      }
+      ok = std::fwrite(bytes.data(), 1, dim, out) == dim;
+    } else {
+      ok = std::fwrite(row, sizeof(float), dim, out) == dim;
+    }
+  }
+  if (std::fclose(out) != 0) ok = false;
+  if (!ok) {
+    std::fprintf(stderr, "short write to %s\n", path.c_str());
+    return 1;
+  }
+  return 0;
+}
+
+// Reads an fvecs file into a FloatMatrix. Every command that reads one
+// needs at least one row, so an empty file is Corruption too.
+Result<FloatMatrix> LoadFvecs(const std::string& path) {
+  auto read = util::ReadFvecs(path);
+  if (!read.ok()) return read.status();
+  util::FvecsData rows = std::move(read).value();
+  if (rows.count() == 0) return Status::Corruption(path + ": no vectors");
+  const size_t count = rows.count();
+  return FloatMatrix(count, rows.dim, std::move(rows.values));
+}
 
 int Usage() {
   std::fprintf(
@@ -199,8 +251,7 @@ int Usage() {
       "--threads sizes the task executor driving batched queries (default: "
       "hardware concurrency; use 1 for per-query latency numbers).\n"
       "collection upsert/delete update the data and index files in place "
-      "(no rebuild);\n"
-      "the legacy spellings `insert`/`erase` are deprecated aliases.\n"
+      "(no rebuild).\n"
       "--durability=DIR persists the collection (per-shard snapshot + WAL): "
       "serve seeds it\n"
       "from --data on first run and recovers from DIR afterwards; "
@@ -676,56 +727,13 @@ int RunGen(const Args& args) {
   const std::string out = args.Get("out", "");
   if (out.empty()) return Usage();
   const FloatMatrix data = GenerateClustered(spec);
-  if (Status s = SaveFvecs(data, out); !s.ok()) {
-    std::fprintf(stderr, "%s\n", s.ToString().c_str());
-    return 1;
+  if (int rc = WriteVecsRows(out, data.data().data(), data.rows(),
+                             data.cols());
+      rc != 0) {
+    return rc;
   }
   std::printf("wrote %zu x %zu vectors to %s\n", data.rows(), data.cols(),
               out.c_str());
-  return 0;
-}
-
-// True when `path` names a `.bvecs` file (case-sensitive, like the rest
-// of the TEXMEX ecosystem).
-bool IsBvecsPath(const std::string& path) {
-  const std::string ext = ".bvecs";
-  return path.size() >= ext.size() &&
-         path.compare(path.size() - ext.size(), ext.size(), ext) == 0;
-}
-
-// Writes `count` rows of `dim` floats to `path` in the extension's vecs
-// flavor: fvecs verbatim, bvecs rounded and clamped to [0, 255].
-int WriteVecsRows(const std::string& path, const float* values, size_t count,
-                  size_t dim) {
-  std::FILE* out = std::fopen(path.c_str(), "wb");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
-    return 1;
-  }
-  const bool bvecs = IsBvecsPath(path);
-  const int32_t d = static_cast<int32_t>(dim);
-  std::vector<uint8_t> bytes(bvecs ? dim : 0);
-  bool ok = true;
-  for (size_t i = 0; i < count && ok; ++i) {
-    const float* row = values + i * dim;
-    ok = std::fwrite(&d, sizeof(d), 1, out) == 1;
-    if (!ok) break;
-    if (bvecs) {
-      for (size_t j = 0; j < dim; ++j) {
-        const float v = std::nearbyint(row[j]);
-        bytes[j] = static_cast<uint8_t>(v < 0.f ? 0.f : v > 255.f ? 255.f
-                                                                  : v);
-      }
-      ok = std::fwrite(bytes.data(), 1, dim, out) == dim;
-    } else {
-      ok = std::fwrite(row, sizeof(float), dim, out) == dim;
-    }
-  }
-  if (std::fclose(out) != 0) ok = false;
-  if (!ok) {
-    std::fprintf(stderr, "short write to %s\n", path.c_str());
-    return 1;
-  }
   return 0;
 }
 
@@ -1002,9 +1010,11 @@ std::unique_ptr<Collection> LoadCollection(const Args& args,
 int SaveCollection(const Collection& collection, const std::string& data_path,
                    const std::string& index_path, bool rewrite_data) {
   if (rewrite_data) {
-    if (Status s = SaveFvecs(collection.Snapshot(), data_path); !s.ok()) {
-      std::fprintf(stderr, "%s\n", s.ToString().c_str());
-      return 1;
+    const FloatMatrix rows = collection.Snapshot();
+    if (int rc = WriteVecsRows(data_path, rows.data().data(), rows.rows(),
+                               rows.cols());
+        rc != 0) {
+      return rc;
     }
   }
   const auto* db = dynamic_cast<const DbLsh*>(collection.GetIndex("main"));
@@ -1389,17 +1399,6 @@ int main(int argc, char** argv) {
     return dblsh::RunReplication(argc, argv, args);
   }
   if (command == "ping") return dblsh::RunPing(args);
-  // PR-3 spellings, kept as deprecation aliases of the collection path.
-  if (command == "insert") {
-    std::fprintf(stderr, "note: `insert` is deprecated; use `dblsh_tool "
-                         "collection upsert`\n");
-    return dblsh::RunCollectionUpsert(args);
-  }
-  if (command == "erase") {
-    std::fprintf(stderr, "note: `erase` is deprecated; use `dblsh_tool "
-                         "collection delete`\n");
-    return dblsh::RunCollectionDelete(args);
-  }
   if (command == "stats") return dblsh::RunStats(args);
   return dblsh::Usage();
 }

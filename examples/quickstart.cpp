@@ -15,7 +15,7 @@ int main() {
   using namespace dblsh;
 
   // 1. Get a dataset. Any row-major float matrix works; .fvecs/.bvecs
-  //    loaders live in dataset/io.h. Here: 20k clustered 64-d points.
+  //    readers live in util/vecs.h. Here: 20k clustered 64-d points.
   ClusteredSpec spec;
   spec.n = 20000;
   spec.dim = 64;

@@ -21,24 +21,6 @@
 
 namespace dblsh {
 
-namespace {
-
-/// Maps a runtime storage kind to its durability snapshot tag (the
-/// manifest `storage` field and per-shard snapshot header value).
-uint32_t SnapshotStorageOf(StorageKind kind) {
-  switch (kind) {
-    case StorageKind::kSq8:
-      return durability::kSnapshotSq8;
-    case StorageKind::kPq:
-      return durability::kSnapshotPq;
-    case StorageKind::kFp32:
-      break;
-  }
-  return durability::kSnapshotFp32;
-}
-
-}  // namespace
-
 /// Runtime state of a durable collection. The WAL writer entries are
 /// guarded by their shard's write lock (appends and checkpoint swap-ins
 /// both hold it); `wal_seq` is guarded by `checkpoint_mutex`; the counters
@@ -268,8 +250,7 @@ Result<std::unique_ptr<Collection>> Collection::FromSpec(
             " but the durable state at \"" + options.durability_dir +
             "\" has " + std::to_string(m.shards) + " shards");
       }
-      const uint32_t spec_storage = SnapshotStorageOf(options.storage);
-      if (m.storage != spec_storage) {
+      if (m.storage != static_cast<uint32_t>(options.storage)) {
         return Status::InvalidArgument(
             "spec storage=" + std::string(StorageKindName(options.storage)) +
             " does not match the durable state at \"" +
@@ -368,53 +349,47 @@ Status Collection::RecoverShards(const CollectionOptions& options,
       return snap_or.status();
     }
     durability::ShardSnapshot snap = std::move(snap_or).value();
-    if (snap.dim != dim_) {
+    if (snap.store.kind != manifest.storage) {
+      return Status::Corruption(
+          "durability: shard " + std::to_string(s) + " snapshot holds " +
+          StorageKindName(static_cast<StorageKind>(snap.store.kind)) +
+          " storage but the manifest says " +
+          StorageKindName(static_cast<StorageKind>(manifest.storage)));
+    }
+    if (snap.store.dim != dim_) {
       return Status::Corruption(
           "durability: shard " + std::to_string(s) + " snapshot dim " +
-          std::to_string(snap.dim) + " does not match manifest dim " +
+          std::to_string(snap.store.dim) + " does not match manifest dim " +
           std::to_string(dim_));
     }
 
-    // Rebuild the store image. The free-list is replayed in erasure order
-    // so InsertRow recycling during WAL replay reproduces the original
-    // LIFO id assignment exactly.
-    if (snap.storage == durability::kSnapshotSq8) {
-      // Metadata shell: right shape, fp32 payload dropped immediately —
-      // the codes below are the payload.
-      auto shell = std::make_unique<FloatMatrix>(snap.rows, dim_);
-      shell->ReleasePayload();
-      for (const uint32_t slot : snap.free_slots) {
-        DBLSH_RETURN_IF_ERROR(shell->EraseRow(slot));
-      }
-      shard.store = std::make_unique<Sq8Store>(
-          std::move(shell), std::move(snap.scales), std::move(snap.offsets),
-          std::move(snap.codes), snap.trained);
-    } else if (snap.storage == durability::kSnapshotPq) {
-      if (snap.pq_m != pq_m_) {
-        return Status::Corruption(
-            "durability: shard " + std::to_string(s) + " snapshot pq m=" +
-            std::to_string(snap.pq_m) + " does not match the spec's m=" +
-            std::to_string(pq_m_) +
-            " (reopen with the m the collection was created with)");
-      }
-      auto shell = std::make_unique<FloatMatrix>(snap.rows, dim_);
-      shell->ReleasePayload();
-      for (const uint32_t slot : snap.free_slots) {
-        DBLSH_RETURN_IF_ERROR(shell->EraseRow(slot));
-      }
-      // Adopt the snapshot's codebooks + codes verbatim: restore is
-      // byte-identical, never a re-train/re-encode.
-      shard.store = std::make_unique<PqStore>(
-          std::move(shell), snap.pq_m, std::move(snap.codebooks),
-          std::move(snap.codes), snap.trained);
-    } else {
-      auto matrix = std::make_unique<FloatMatrix>(snap.rows, dim_,
-                                                  std::move(snap.fp32));
-      for (const uint32_t slot : snap.free_slots) {
-        DBLSH_RETURN_IF_ERROR(matrix->EraseRow(slot));
-      }
-      shard.store = std::make_unique<Fp32Store>(std::move(matrix));
+    // Adopt the store image verbatim (byte-identical, never re-encoded).
+    // The decoder replays the free-list in erasure order, so InsertRow
+    // recycling during WAL replay reproduces the original LIFO id
+    // assignment exactly.
+    util::PodReader body(snap.body.data(), snap.body.size());
+    auto store = DecodeVectorStore(snap.store, &body);
+    if (!store.ok()) {
+      return Status::Corruption("durability: shard " + std::to_string(s) +
+                                " snapshot: " + store.status().message());
     }
+    if (body.remaining() != 0) {
+      return Status::Corruption("durability: shard " + std::to_string(s) +
+                                " snapshot: body size mismatch");
+    }
+    // Same kind and dim, so equal row widths mean equal layouts (for pq,
+    // the same m as the spec's store).
+    if (store.value()->bytes_per_vector() !=
+        shard.store->bytes_per_vector()) {
+      return Status::Corruption(
+          "durability: shard " + std::to_string(s) + " snapshot stores " +
+          std::to_string(store.value()->bytes_per_vector()) +
+          " bytes per vector but the spec's " + shard.store->kind_name() +
+          " store uses " + std::to_string(shard.store->bytes_per_vector()) +
+          " (reopen with the storage options the collection was created "
+          "with)");
+    }
+    shard.store = std::move(store).value();
     shard.data = &shard.store->matrix();
     max_lsn = std::max(max_lsn, snap.lsn);
     shard.applied_lsn = snap.lsn;
@@ -550,9 +525,8 @@ Status Collection::Checkpoint() {
 
     std::unique_lock lock(shard.mutex);
     durability::ShardSnapshot& snap = snaps[s];
-    snap.dim = dim_;
-    snap.rows = shard.data->rows();
-    snap.free_slots = shard.data->free_slots();
+    snap.store = shard.store->header();
+    shard.store->Encode(&snap.body);
     // Captured under the shard write lock: every record this shard wrote
     // to the outgoing segment has lsn <= this value, and every record it
     // will write to the incoming one has lsn > it — the replay filter's
@@ -561,25 +535,6 @@ Status Collection::Checkpoint() {
     // sibling shard's higher LSN must not mask this shard's undelivered
     // records.
     snap.lsn = shard.applied_lsn;
-    if (storage_ == StorageKind::kSq8) {
-      const auto* sq8 = static_cast<const Sq8Store*>(shard.store.get());
-      snap.storage = durability::kSnapshotSq8;
-      snap.scales = sq8->scales();
-      snap.offsets = sq8->offsets();
-      snap.codes = sq8->codes();
-      snap.trained = sq8->trained();
-    } else if (storage_ == StorageKind::kPq) {
-      const auto* pq = static_cast<const PqStore*>(shard.store.get());
-      snap.storage = durability::kSnapshotPq;
-      snap.pq_m = static_cast<uint32_t>(pq->m());
-      snap.codebooks = pq->codebooks();
-      snap.codes = pq->codes();
-      snap.trained = pq->trained();
-    } else {
-      snap.storage = durability::kSnapshotFp32;
-      snap.fp32 = shard.data->data();
-      snap.trained = true;
-    }
     d.wals[s] = std::move(writer_or).value();
     checkpoint_lsn = std::max(checkpoint_lsn, snap.lsn);
   }
@@ -594,7 +549,7 @@ Status Collection::Checkpoint() {
   durability::Manifest manifest;
   manifest.shards = static_cast<uint32_t>(shards_.size());
   manifest.dim = static_cast<uint32_t>(dim_);
-  manifest.storage = SnapshotStorageOf(storage_);
+  manifest.storage = static_cast<uint32_t>(storage_);
   manifest.wal_seq = new_seq;
   manifest.checkpoint_lsn = checkpoint_lsn;
   DBLSH_RETURN_IF_ERROR(durability::SaveManifest(d.dir, manifest));

@@ -2,7 +2,6 @@
 #define DBLSH_CORE_DB_LSH_H_
 
 #include <cstdint>
-#include <iosfwd>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -83,8 +82,7 @@ class DbLsh : public AnnIndex {
   /// Reusable per-caller query state (visited-point stamps). `Query()`
   /// without a scratch uses a thread-local one, making the scratch-less
   /// read path fully thread-safe; callers that want to control scratch
-  /// reuse across queries (eval::ParallelQuery, QueryBatch workers) pass
-  /// their own.
+  /// reuse across queries (QueryBatch workers) pass their own.
   class QueryScratch {
    public:
     QueryScratch() = default;
@@ -155,18 +153,18 @@ class DbLsh : public AnnIndex {
 
   /// Persists the built index (parameters, projection directions, projected
   /// points, and the dataset's tombstone set) to `path` in format version
-  /// 3. The backing dataset itself is NOT stored — pass the same data to
+  /// 4. The backing dataset itself is NOT stored — pass the same data to
   /// Load(); a checksum over its raw bytes is stored so a mismatched
   /// dataset is rejected rather than silently served. Trees are rebuilt by
   /// bulk loading on load, which is fast and keeps the file format simple
   /// and portable. Appended rows round-trip naturally (they are ordinary
   /// rows of the projected matrices by save time).
   ///
-  /// Storage backends: when the dataset is managed by a quantized
-  /// VectorStore (FloatMatrix::store(); the Collection's storage=sq8
-  /// case), the file records the backend tag, the per-dimension
-  /// quantization parameters, and a checksum over the u8 codes instead of
-  /// the (released) fp32 payload. Such files are restored through
+  /// Storage backends: when the dataset is managed by a VectorStore
+  /// (FloatMatrix::store()), the file records the backend tag and the
+  /// store's params (VectorStore::EncodeParams), and the checksum covers
+  /// the store's payload — the u8 codes for quantized stores, whose fp32
+  /// payload is released. Quantized files are restored through
   /// LoadStore() + Load(path, VectorStore*).
   Status Save(const std::string& path) const;
 
@@ -184,29 +182,28 @@ class DbLsh : public AnnIndex {
 
   /// Reconstructs the VectorStore an index file was saved over from the
   /// original fp32 dataset (as read from disk; tombstones are re-applied
-  /// by the subsequent Load). For an fp32-tagged (or version-2) file this
-  /// wraps `data` in an Fp32Store; for sq8 it re-encodes `data`'s rows
-  /// with the *saved* scale/offset and for pq with the *saved* codebooks
-  /// (never re-training) so the codes — and the stored code checksum —
-  /// come out byte-identical. Consumes `data` in all cases, including
-  /// errors.
+  /// by the subsequent Load): VectorStore::Reencode with the *saved*
+  /// params — an Fp32Store for an fp32-tagged (or version-2) file; sq8/pq
+  /// re-encode `data`'s rows, never re-training, so the codes — and the
+  /// stored payload checksum — come out byte-identical. Consumes `data` in
+  /// all cases, including errors.
   static Result<std::unique_ptr<VectorStore>> LoadStore(
       const std::string& path, std::unique_ptr<FloatMatrix> data);
 
   /// Restores an index saved with Save() against an existing store
   /// (typically from LoadStore). The file's storage tag must match the
-  /// store's kind; for sq8/pq the saved quantization parameters and the
-  /// code checksum are validated against the store (InvalidArgument on
-  /// any mismatch). Saved tombstones are re-applied through the store. The
-  /// store must outlive the returned index.
+  /// store's kind, and the saved params and payload checksum are compared
+  /// with the store's encoded ones (InvalidArgument on any mismatch).
+  /// Saved tombstones are re-applied through the store. The store must
+  /// outlive the returned index.
   static Result<DbLsh> Load(const std::string& path, VectorStore* store);
 
  private:
   /// Shared tail of the Load() overloads: parameters, projections,
   /// projected spaces, tombstone replay (through `store` when non-null so
   /// quantized backends stay in sync, else through `data`) and tree
-  /// rebuild. `in` is positioned just past the storage-dependent prefix.
-  static Result<DbLsh> LoadIndexBody(std::ifstream& in,
+  /// rebuild. `in` is positioned just past the store params.
+  static Result<DbLsh> LoadIndexBody(util::PodReader* in,
                                      const std::string& path, uint64_t n,
                                      uint64_t dim, FloatMatrix* data,
                                      VectorStore* store);

@@ -1,10 +1,9 @@
 // Persistence for DbLsh. Format (host-endian, version 4):
 //   magic "DBLSHIDX" | u32 version | u8 storage tag (StorageKind)
-//   u64 n | u64 dim | u64 data_checksum (FNV-1a; see below)
-//   sq8 only: dim f32 scales | dim f32 offsets (the store's quantization
-//   parameters, so LoadStore can re-encode the original dataset exactly)
-//   pq only (version >= 4): u32 m | 256*dim f32 codebooks (the trained
-//   sub-quantizer centroids, so LoadStore can re-encode exactly)
+//   u64 n | u64 dim | u64 payload checksum (FNV-1a; see below)
+//   store params (VectorStore::EncodeParams: nothing for fp32, the sq8
+//   scales and offsets, the pq m and codebooks — docs/API.md "Store
+//   section"), so LoadStore can re-encode the original dataset exactly
 //   f64 c | f64 w0 | u64 k | u64 l | u64 t | u64 seed | u8 bucketing
 //   u8 backend | f64 auto_r0 | f64 early_stop_slack
 //   directions matrix (u64 rows, u64 cols, floats)
@@ -12,19 +11,21 @@
 //   l projected matrices (u64 rows, u64 cols, floats each)
 //   tombstones: u64 count | u32 ids in erasure order (the free-list stack)
 // Version 3 files are identical minus the pq storage variant; version 2
-// files additionally lack the storage tag and quantization parameters
-// (implicitly fp32). Both still load.
+// files additionally lack the storage tag (implicitly fp32). Both still
+// load. Loading reads the whole file and parses it with util::PodReader,
+// so every length is checked against the bytes present before anything
+// is allocated.
 // The R*-trees are rebuilt by STR bulk loading at load time: they are a
 // deterministic function of the projected matrices, bulk loading is fast
 // (the paper's own construction path), and the file stays portable.
 // The checksum pins the index to the exact dataset bytes it was saved
-// over: for fp32 storage it covers the raw float payload; for sq8/pq the
-// fp32 payload is released, so it covers the store's u8 codes instead —
-// both are stable across erase-only mutations (EraseRow touches neither).
-// A wrong/reordered/edited dataset is rejected with InvalidArgument
-// instead of silently serving wrong neighbors. Tombstones are re-applied
-// to the caller's dataset on load, restoring the free-list in its
-// original order so InsertRow keeps recycling deterministically.
+// over: it covers the store's payload (VectorStore::payload — the raw
+// float rows for fp32, the u8 codes for sq8/pq, whose fp32 payload is
+// released), which erase-only mutations never touch. A wrong/reordered/
+// edited dataset is rejected with InvalidArgument instead of silently
+// serving wrong neighbors. Tombstones are re-applied to the caller's
+// dataset on load, restoring the free-list in its original order so
+// InsertRow keeps recycling deterministically.
 #include <cstdint>
 #include <cstring>
 #include <fstream>
@@ -40,139 +41,101 @@ constexpr uint32_t kVersion = 4;
 constexpr uint32_t kVersionSq8 = 3;       // pre-PQ format (fp32/sq8 only)
 constexpr uint32_t kVersionFp32Only = 2;  // pre-VectorStore format
 
-// FNV-1a: cheap, order-sensitive, byte-exact.
-uint64_t Fnv1a(const unsigned char* bytes, size_t count) {
-  uint64_t h = 1469598103934665603ULL;
-  for (size_t i = 0; i < count; ++i) {
-    h ^= bytes[i];
-    h *= 1099511628211ULL;
-  }
-  return h;
+void WriteMatrix(std::vector<uint8_t>* out, const FloatMatrix& m) {
+  util::AppendPod<uint64_t>(out, m.rows());
+  util::AppendPod<uint64_t>(out, m.cols());
+  util::AppendBytes(out, util::BytesOf(m.data()));
 }
 
-// Checksum over the matrix's raw float payload (fp32 storage): stable
-// across erase-only mutations (EraseRow never touches row bytes).
-uint64_t DataChecksum(const FloatMatrix& m) {
-  return Fnv1a(reinterpret_cast<const unsigned char*>(m.data().data()),
-               m.data().size() * sizeof(float));
-}
-
-// Checksum over the store's u8 codes (sq8/pq storage, payload released).
-uint64_t CodesChecksum(const Sq8Store& store) {
-  return Fnv1a(store.codes().data(), store.codes().size());
-}
-
-uint64_t CodesChecksum(const PqStore& store) {
-  return Fnv1a(store.codes().data(), store.codes().size());
-}
-
-template <typename T>
-void WritePod(std::ofstream& out, const T& value) {
-  out.write(reinterpret_cast<const char*>(&value), sizeof(T));
-}
-
-template <typename T>
-bool ReadPod(std::ifstream& in, T* value) {
-  return static_cast<bool>(
-      in.read(reinterpret_cast<char*>(value), sizeof(T)));
-}
-
-void WriteMatrix(std::ofstream& out, const FloatMatrix& m) {
-  WritePod<uint64_t>(out, m.rows());
-  WritePod<uint64_t>(out, m.cols());
-  out.write(reinterpret_cast<const char*>(m.data().data()),
-            static_cast<std::streamsize>(m.data().size() * sizeof(float)));
-}
-
-Result<FloatMatrix> ReadMatrix(std::ifstream& in, const std::string& what) {
+Result<FloatMatrix> ReadMatrix(util::PodReader* in, const std::string& what) {
   uint64_t rows = 0, cols = 0;
-  if (!ReadPod(in, &rows) || !ReadPod(in, &cols)) {
+  if (!in->Read(&rows) || !in->Read(&cols)) {
     return Status::Corruption("truncated " + what + " header");
   }
   if (rows == 0 || cols == 0 || rows > (1ULL << 40) / (cols + 1)) {
     return Status::Corruption("implausible " + what + " shape");
   }
-  std::vector<float> values(rows * cols);
-  if (!in.read(reinterpret_cast<char*>(values.data()),
-               static_cast<std::streamsize>(values.size() *
-                                            sizeof(float)))) {
+  std::vector<float> values;
+  if (!in->ReadVector(rows * cols, &values)) {
     return Status::Corruption("truncated " + what + " payload");
   }
   return FloatMatrix(rows, cols, std::move(values));
 }
 
-/// Everything up to (and including) the storage-dependent prefix: format
-/// version, storage tag, dataset shape, checksum, and — for sq8/pq — the
-/// saved quantization parameters.
-struct StorageHeader {
-  uint32_t version = 0;
-  StorageKind storage = StorageKind::kFp32;
+/// A whole index file in memory, parsed up to the end of the store params:
+/// format version, storage tag, dataset shape, payload checksum and the
+/// saved params. `in` is positioned at the index parameters.
+struct IndexFile {
+  std::vector<uint8_t> bytes;
+  util::PodReader in{nullptr, 0};
   uint64_t n = 0;
   uint64_t dim = 0;
   uint64_t checksum = 0;
-  std::vector<float> scale;      // sq8 only, dim entries
-  std::vector<float> offset;     // sq8 only, dim entries
-  uint32_t pq_m = 0;             // pq only
-  std::vector<float> codebooks;  // pq only, 256*dim entries
+  /// The saved params, decoded as a zero-row store of the saved kind.
+  std::unique_ptr<VectorStore> saved;
 };
 
-Status ReadStorageHeader(std::ifstream& in, const std::string& path,
-                         StorageHeader* header) {
+Status OpenIndexFile(const std::string& path, IndexFile* file) {
+  auto bytes = util::ReadFileBytes(path);
+  if (!bytes.ok()) return Status::IoError("cannot open " + path);
+  file->bytes = std::move(bytes).value();
+  file->in = util::PodReader(file->bytes.data(), file->bytes.size());
+  util::PodReader& in = file->in;
+
   char magic[8];
-  if (!in.read(magic, sizeof(magic)) ||
+  uint32_t version = 0;
+  if (!in.ReadBytes(magic, sizeof(magic)) ||
       std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
     return Status::Corruption(path + ": not a DB-LSH index file");
   }
-  if (!ReadPod(in, &header->version) ||
-      (header->version != kVersion && header->version != kVersionSq8 &&
-       header->version != kVersionFp32Only)) {
+  if (!in.Read(&version) ||
+      (version != kVersion && version != kVersionSq8 &&
+       version != kVersionFp32Only)) {
     return Status::Corruption(path + ": unsupported index version");
   }
-  if (header->version >= kVersionSq8) {
+  StoreHeader store;  // rows = 0: the file holds the params, not the rows
+  if (version >= kVersionSq8) {
     uint8_t tag = 0;
-    if (!ReadPod(in, &tag)) {
+    if (!in.Read(&tag)) {
       return Status::Corruption(path + ": truncated storage tag");
     }
-    if (tag > static_cast<uint8_t>(StorageKind::kPq)) {
-      return Status::Corruption(path + ": unknown storage backend tag");
-    }
-    if (tag == static_cast<uint8_t>(StorageKind::kPq) &&
-        header->version < kVersion) {
+    if (tag == static_cast<uint8_t>(StorageKind::kPq) && version < kVersion) {
       return Status::Corruption(path +
                                 ": pq storage requires format version 4");
     }
-    header->storage = static_cast<StorageKind>(tag);
+    store.kind = tag;
   }
-  if (!ReadPod(in, &header->n) || !ReadPod(in, &header->dim) ||
-      !ReadPod(in, &header->checksum)) {
+  if (!in.Read(&file->n) || !in.Read(&file->dim) ||
+      !in.Read(&file->checksum)) {
     return Status::Corruption(path + ": truncated header");
   }
-  if (header->storage == StorageKind::kSq8) {
-    if (header->dim == 0 || header->dim > (1ULL << 24)) {
-      return Status::Corruption(path + ": implausible dimensionality");
-    }
-    header->scale.resize(header->dim);
-    header->offset.resize(header->dim);
-    const std::streamsize bytes =
-        static_cast<std::streamsize>(header->dim * sizeof(float));
-    if (!in.read(reinterpret_cast<char*>(header->scale.data()), bytes) ||
-        !in.read(reinterpret_cast<char*>(header->offset.data()), bytes)) {
-      return Status::Corruption(path + ": truncated quantization parameters");
-    }
-  } else if (header->storage == StorageKind::kPq) {
-    if (header->dim == 0 || header->dim > (1ULL << 24)) {
-      return Status::Corruption(path + ": implausible dimensionality");
-    }
-    if (!ReadPod(in, &header->pq_m) || header->pq_m == 0 ||
-        header->pq_m > header->dim) {
-      return Status::Corruption(path + ": invalid pq subspace count");
-    }
-    header->codebooks.resize(256 * header->dim);
-    if (!in.read(reinterpret_cast<char*>(header->codebooks.data()),
-                 static_cast<std::streamsize>(header->codebooks.size() *
-                                              sizeof(float)))) {
-      return Status::Corruption(path + ": truncated pq codebooks");
-    }
+  store.dim = file->dim;
+  auto saved = DecodeVectorStore(store, &in);
+  if (!saved.ok()) {
+    return Status::Corruption(path + ": " + saved.status().message());
+  }
+  file->saved = std::move(saved).value();
+  return Status::OK();
+}
+
+Status CheckShape(const std::string& path, const IndexFile& file,
+                  const FloatMatrix& data) {
+  if (file.n != data.rows() || file.dim != data.cols()) {
+    return Status::InvalidArgument(
+        path + ": index was built over a different dataset (" +
+        std::to_string(file.n) + "x" + std::to_string(file.dim) + " vs " +
+        std::to_string(data.rows()) + "x" + std::to_string(data.cols()) +
+        ")");
+  }
+  return Status::OK();
+}
+
+Status CheckPayload(const std::string& path, const IndexFile& file,
+                    std::span<const uint8_t> payload) {
+  if (file.checksum != util::Fnv1a64(payload)) {
+    return Status::InvalidArgument(
+        path + ": payload checksum mismatch — the provided data is not the "
+               "dataset this index was saved over");
   }
   return Status::OK();
 }
@@ -183,68 +146,48 @@ Status DbLsh::Save(const std::string& path) const {
   if (data_ == nullptr) {
     return Status::InvalidArgument("Save() requires a built index");
   }
-  // Storage backend of the dataset: a quantized store bound to the matrix
-  // means the fp32 payload is released — checksum the codes and persist
-  // the quantization parameters so LoadStore can reconstruct the store.
-  const Sq8Store* sq8 = nullptr;
-  const PqStore* pq = nullptr;
-  StorageKind tag = StorageKind::kFp32;
-  if (data_->store() != nullptr) {
-    tag = data_->store()->storage_kind();
-    if (tag == StorageKind::kSq8) {
-      sq8 = static_cast<const Sq8Store*>(data_->store());
-    } else if (tag == StorageKind::kPq) {
-      pq = static_cast<const PqStore*>(data_->store());
-    }
-  }
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return Status::IoError("cannot open " + path + " for writing");
+  // A store bound to the matrix owns the payload (for a quantized one the
+  // fp32 rows are released): persist its params and checksum its payload.
+  // A bare matrix is fp32 with no params.
+  const VectorStore* store = data_->store();
+  std::vector<uint8_t> out;
+  util::AppendBytes(&out, kMagic, sizeof(kMagic));
+  util::AppendPod(&out, kVersion);
+  util::AppendPod<uint8_t>(
+      &out, static_cast<uint8_t>(store != nullptr ? store->storage_kind()
+                                                  : StorageKind::kFp32));
+  util::AppendPod<uint64_t>(&out, data_->rows());
+  util::AppendPod<uint64_t>(&out, data_->cols());
+  util::AppendPod(&out, util::Fnv1a64(store != nullptr
+                                          ? store->payload()
+                                          : util::BytesOf(data_->data())));
+  if (store != nullptr) store->EncodeParams(&out);
+  util::AppendPod<double>(&out, params_.c);
+  util::AppendPod<double>(&out, params_.w0);
+  util::AppendPod<uint64_t>(&out, params_.k);
+  util::AppendPod<uint64_t>(&out, params_.l);
+  util::AppendPod<uint64_t>(&out, params_.t);
+  util::AppendPod<uint64_t>(&out, params_.seed);
+  util::AppendPod<uint8_t>(&out, static_cast<uint8_t>(params_.bucketing));
+  util::AppendPod<uint8_t>(&out, static_cast<uint8_t>(params_.backend));
+  util::AppendPod<double>(&out, auto_r0_);
+  util::AppendPod<double>(&out, params_.early_stop_slack);
+  WriteMatrix(&out, bank_->directions());
+  util::AppendPod<uint64_t>(&out, grid_offsets_.size());
+  util::AppendBytes(&out, util::BytesOf(grid_offsets_));
+  for (const FloatMatrix& space : projected_) WriteMatrix(&out, space);
+  util::AppendPod<uint64_t>(&out, data_->free_slots().size());
+  util::AppendBytes(&out, util::BytesOf(data_->free_slots()));
 
-  out.write(kMagic, sizeof(kMagic));
-  WritePod(out, kVersion);
-  WritePod<uint8_t>(out, static_cast<uint8_t>(tag));
-  WritePod<uint64_t>(out, data_->rows());
-  WritePod<uint64_t>(out, data_->cols());
-  WritePod<uint64_t>(out, sq8 != nullptr  ? CodesChecksum(*sq8)
-                          : pq != nullptr ? CodesChecksum(*pq)
-                                          : DataChecksum(*data_));
-  if (sq8 != nullptr) {
-    const std::streamsize bytes =
-        static_cast<std::streamsize>(data_->cols() * sizeof(float));
-    out.write(reinterpret_cast<const char*>(sq8->scales().data()), bytes);
-    out.write(reinterpret_cast<const char*>(sq8->offsets().data()), bytes);
-  } else if (pq != nullptr) {
-    WritePod<uint32_t>(out, static_cast<uint32_t>(pq->m()));
-    out.write(reinterpret_cast<const char*>(pq->codebooks().data()),
-              static_cast<std::streamsize>(pq->codebooks().size() *
-                                           sizeof(float)));
-  }
-  WritePod<double>(out, params_.c);
-  WritePod<double>(out, params_.w0);
-  WritePod<uint64_t>(out, params_.k);
-  WritePod<uint64_t>(out, params_.l);
-  WritePod<uint64_t>(out, params_.t);
-  WritePod<uint64_t>(out, params_.seed);
-  WritePod<uint8_t>(out, static_cast<uint8_t>(params_.bucketing));
-  WritePod<uint8_t>(out, static_cast<uint8_t>(params_.backend));
-  WritePod<double>(out, auto_r0_);
-  WritePod<double>(out, params_.early_stop_slack);
-  WriteMatrix(out, bank_->directions());
-  WritePod<uint64_t>(out, grid_offsets_.size());
-  out.write(reinterpret_cast<const char*>(grid_offsets_.data()),
-            static_cast<std::streamsize>(grid_offsets_.size() *
-                                         sizeof(float)));
-  for (const FloatMatrix& space : projected_) WriteMatrix(out, space);
-  const std::vector<uint32_t>& tombstones = data_->free_slots();
-  WritePod<uint64_t>(out, tombstones.size());
-  out.write(reinterpret_cast<const char*>(tombstones.data()),
-            static_cast<std::streamsize>(tombstones.size() *
-                                         sizeof(uint32_t)));
-  if (!out) return Status::IoError("short write to " + path);
+  std::ofstream file(path, std::ios::binary);
+  if (!file) return Status::IoError("cannot open " + path + " for writing");
+  file.write(reinterpret_cast<const char*>(out.data()),
+             static_cast<std::streamsize>(out.size()));
+  if (!file) return Status::IoError("short write to " + path);
   return Status::OK();
 }
 
-Result<DbLsh> DbLsh::LoadIndexBody(std::ifstream& in,
+Result<DbLsh> DbLsh::LoadIndexBody(util::PodReader* in,
                                    const std::string& path, uint64_t n,
                                    uint64_t dim, FloatMatrix* data,
                                    VectorStore* store) {
@@ -252,11 +195,10 @@ Result<DbLsh> DbLsh::LoadIndexBody(std::ifstream& in,
   uint64_t k = 0, l = 0, t = 0, seed = 0;
   uint8_t bucketing = 0, backend = 0;
   double auto_r0 = 1.0;
-  if (!ReadPod(in, &params.c) || !ReadPod(in, &params.w0) ||
-      !ReadPod(in, &k) || !ReadPod(in, &l) || !ReadPod(in, &t) ||
-      !ReadPod(in, &seed) || !ReadPod(in, &bucketing) ||
-      !ReadPod(in, &backend) || !ReadPod(in, &auto_r0) ||
-      !ReadPod(in, &params.early_stop_slack)) {
+  if (!in->Read(&params.c) || !in->Read(&params.w0) || !in->Read(&k) ||
+      !in->Read(&l) || !in->Read(&t) || !in->Read(&seed) ||
+      !in->Read(&bucketing) || !in->Read(&backend) || !in->Read(&auto_r0) ||
+      !in->Read(&params.early_stop_slack)) {
     return Status::Corruption(path + ": truncated parameters");
   }
   params.k = k;
@@ -278,12 +220,11 @@ Result<DbLsh> DbLsh::LoadIndexBody(std::ifstream& in,
   }
 
   uint64_t offset_count = 0;
-  if (!ReadPod(in, &offset_count) || offset_count != params.l * params.k) {
+  if (!in->Read(&offset_count) || offset_count != params.l * params.k) {
     return Status::Corruption(path + ": grid offset count mismatch");
   }
-  std::vector<float> grid_offsets(offset_count);
-  if (!in.read(reinterpret_cast<char*>(grid_offsets.data()),
-               static_cast<std::streamsize>(offset_count * sizeof(float)))) {
+  std::vector<float> grid_offsets;
+  if (!in->ReadVector(offset_count, &grid_offsets)) {
     return Status::Corruption(path + ": truncated grid offsets");
   }
 
@@ -303,15 +244,10 @@ Result<DbLsh> DbLsh::LoadIndexBody(std::ifstream& in,
     index.projected_.push_back(std::move(space).value());
   }
   uint64_t tombstone_count = 0;
-  if (!ReadPod(in, &tombstone_count) || tombstone_count > n) {
+  std::vector<uint32_t> tombstones;
+  if (!in->Read(&tombstone_count) || tombstone_count > n ||
+      !in->ReadVector(tombstone_count, &tombstones)) {
     return Status::Corruption(path + ": truncated/implausible tombstones");
-  }
-  std::vector<uint32_t> tombstones(tombstone_count);
-  if (tombstone_count > 0 &&
-      !in.read(reinterpret_cast<char*>(tombstones.data()),
-               static_cast<std::streamsize>(tombstone_count *
-                                            sizeof(uint32_t)))) {
-    return Status::Corruption(path + ": truncated tombstone ids");
   }
   // Re-apply in erasure order so the dataset's free-list stack matches the
   // saved state exactly (InsertRow recycles the same slots in the same
@@ -346,45 +282,22 @@ Result<DbLsh> DbLsh::LoadIndexBody(std::ifstream& in,
   return index;
 }
 
-namespace {
-
-Status CheckShape(const std::string& path, const StorageHeader& header,
-                  const FloatMatrix& data) {
-  if (header.n != data.rows() || header.dim != data.cols()) {
-    return Status::InvalidArgument(
-        path + ": index was built over a different dataset (" +
-        std::to_string(header.n) + "x" + std::to_string(header.dim) +
-        " vs " + std::to_string(data.rows()) + "x" +
-        std::to_string(data.cols()) + ")");
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
 Result<DbLsh> DbLsh::Load(const std::string& path, FloatMatrix* data) {
   if (data == nullptr || data->rows() == 0) {
     return Status::InvalidArgument("Load() requires the backing dataset");
   }
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("cannot open " + path);
-
-  StorageHeader header;
-  DBLSH_RETURN_IF_ERROR(ReadStorageHeader(in, path, &header));
-  if (header.storage != StorageKind::kFp32) {
+  IndexFile file;
+  DBLSH_RETURN_IF_ERROR(OpenIndexFile(path, &file));
+  if (file.saved->quantized()) {
     return Status::InvalidArgument(
         path + ": index was saved over " +
-        std::string(StorageKindName(header.storage)) +
+        std::string(file.saved->kind_name()) +
         " storage; restore its store with DbLsh::LoadStore and use the "
         "Load(path, VectorStore*) overload");
   }
-  DBLSH_RETURN_IF_ERROR(CheckShape(path, header, *data));
-  if (header.checksum != DataChecksum(*data)) {
-    return Status::InvalidArgument(
-        path + ": dataset content checksum mismatch — the provided data is "
-               "not the dataset this index was saved over");
-  }
-  return LoadIndexBody(in, path, header.n, header.dim, data, nullptr);
+  DBLSH_RETURN_IF_ERROR(CheckShape(path, file, *data));
+  DBLSH_RETURN_IF_ERROR(CheckPayload(path, file, util::BytesOf(data->data())));
+  return LoadIndexBody(&file.in, path, file.n, file.dim, data, nullptr);
 }
 
 Result<std::unique_ptr<VectorStore>> DbLsh::LoadStore(
@@ -392,93 +305,41 @@ Result<std::unique_ptr<VectorStore>> DbLsh::LoadStore(
   if (data == nullptr || data->rows() == 0) {
     return Status::InvalidArgument("LoadStore() requires the backing dataset");
   }
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("cannot open " + path);
-
-  StorageHeader header;
-  DBLSH_RETURN_IF_ERROR(ReadStorageHeader(in, path, &header));
-  DBLSH_RETURN_IF_ERROR(CheckShape(path, header, *data));
-  if (header.storage == StorageKind::kFp32) {
-    if (header.checksum != DataChecksum(*data)) {
-      return Status::InvalidArgument(
-          path + ": dataset content checksum mismatch — the provided data "
-                 "is not the dataset this index was saved over");
-    }
-    return std::unique_ptr<VectorStore>(
-        std::make_unique<Fp32Store>(std::move(data)));
-  }
-  if (header.storage == StorageKind::kPq) {
-    // pq: re-encode against the *saved* codebooks (not re-training), then
-    // require the resulting codes to be byte-identical to the saved state.
-    auto store = std::make_unique<PqStore>(std::move(data), header.pq_m,
-                                           std::move(header.codebooks));
-    if (header.checksum != CodesChecksum(*store)) {
-      return Status::InvalidArgument(
-          path + ": quantized code checksum mismatch — the provided data "
-                 "is not the dataset this index was saved over");
-    }
-    return std::unique_ptr<VectorStore>(std::move(store));
-  }
-  // sq8: re-encode with the *saved* parameters (not re-training, which
-  // would drift if the dataset was mutated after the store trained), then
-  // require the resulting codes to be byte-identical to the saved state.
-  auto store = std::make_unique<Sq8Store>(std::move(data), header.scale,
-                                          header.offset);
-  if (header.checksum != CodesChecksum(*store)) {
-    return Status::InvalidArgument(
-        path + ": quantized code checksum mismatch — the provided data is "
-               "not the dataset this index was saved over");
-  }
-  return std::unique_ptr<VectorStore>(std::move(store));
+  IndexFile file;
+  DBLSH_RETURN_IF_ERROR(OpenIndexFile(path, &file));
+  DBLSH_RETURN_IF_ERROR(CheckShape(path, file, *data));
+  // Re-encode with the *saved* params (never re-training, which would
+  // drift if the dataset was mutated after the store trained), then
+  // require the resulting payload to be byte-identical to the saved one.
+  std::unique_ptr<VectorStore> store = file.saved->Reencode(std::move(data));
+  DBLSH_RETURN_IF_ERROR(CheckPayload(path, file, store->payload()));
+  return store;
 }
 
 Result<DbLsh> DbLsh::Load(const std::string& path, VectorStore* store) {
   if (store == nullptr || store->matrix().rows() == 0) {
     return Status::InvalidArgument("Load() requires the backing store");
   }
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("cannot open " + path);
-
-  StorageHeader header;
-  DBLSH_RETURN_IF_ERROR(ReadStorageHeader(in, path, &header));
-  if (header.storage != store->storage_kind()) {
+  IndexFile file;
+  DBLSH_RETURN_IF_ERROR(OpenIndexFile(path, &file));
+  if (file.saved->storage_kind() != store->storage_kind()) {
     return Status::InvalidArgument(
         path + ": index was saved over " +
-        std::string(StorageKindName(header.storage)) +
+        std::string(file.saved->kind_name()) +
         " storage but the provided store is " + store->kind_name());
   }
-  FloatMatrix& data = store->matrix();
-  DBLSH_RETURN_IF_ERROR(CheckShape(path, header, data));
-  if (header.storage == StorageKind::kSq8) {
-    const auto& sq8 = *static_cast<const Sq8Store*>(store);
-    if (header.scale != sq8.scales() || header.offset != sq8.offsets()) {
-      return Status::InvalidArgument(
-          path + ": quantization parameters do not match the provided "
-                 "store (different training data or a mutated store)");
-    }
-    if (header.checksum != CodesChecksum(sq8)) {
-      return Status::InvalidArgument(
-          path + ": quantized code checksum mismatch — the provided store "
-                 "does not hold the dataset this index was saved over");
-    }
-  } else if (header.storage == StorageKind::kPq) {
-    const auto& pq = *static_cast<const PqStore*>(store);
-    if (header.pq_m != pq.m() || header.codebooks != pq.codebooks()) {
-      return Status::InvalidArgument(
-          path + ": quantization parameters do not match the provided "
-                 "store (different training data or a mutated store)");
-    }
-    if (header.checksum != CodesChecksum(pq)) {
-      return Status::InvalidArgument(
-          path + ": quantized code checksum mismatch — the provided store "
-                 "does not hold the dataset this index was saved over");
-    }
-  } else if (header.checksum != DataChecksum(data)) {
+  DBLSH_RETURN_IF_ERROR(CheckShape(path, file, store->matrix()));
+  std::vector<uint8_t> saved_params, params;
+  file.saved->EncodeParams(&saved_params);
+  store->EncodeParams(&params);
+  if (saved_params != params) {
     return Status::InvalidArgument(
-        path + ": dataset content checksum mismatch — the provided data is "
-               "not the dataset this index was saved over");
+        path + ": quantization parameters do not match the provided store "
+               "(different training data or a mutated store)");
   }
-  return LoadIndexBody(in, path, header.n, header.dim, &data, store);
+  DBLSH_RETURN_IF_ERROR(CheckPayload(path, file, store->payload()));
+  return LoadIndexBody(&file.in, path, file.n, file.dim, &store->matrix(),
+                       store);
 }
 
 }  // namespace dblsh

@@ -43,6 +43,22 @@ Result<StorageKind> ParseStorageKind(const std::string& name) {
       "sq8 or pq)");
 }
 
+StoreHeader VectorStore::header() const {
+  StoreHeader h;
+  h.kind = static_cast<uint32_t>(storage_kind());
+  h.rows = matrix_->rows();
+  h.dim = matrix_->cols();
+  h.trained = trained();
+  h.free_count = matrix_->free_slots().size();
+  return h;
+}
+
+void VectorStore::Encode(std::vector<uint8_t>* out) const {
+  EncodeParams(out);
+  util::AppendBytes(out, payload());
+  util::AppendBytes(out, util::BytesOf(matrix_->free_slots()));
+}
+
 VectorStore::VectorStore(std::unique_ptr<FloatMatrix> matrix)
     : matrix_(std::move(matrix)) {
   assert(matrix_ != nullptr);
@@ -107,6 +123,17 @@ void Fp32Store::ScoreBatch(const float* prep, size_t start,
 
 FloatMatrix Fp32Store::DecodedCopy() const {
   return *matrix_;  // the copy drops the store binding by construction
+}
+
+void Fp32Store::EncodeParams(std::vector<uint8_t>* /*out*/) const {}
+
+std::span<const uint8_t> Fp32Store::payload() const {
+  return util::BytesOf(matrix_->data());
+}
+
+std::unique_ptr<VectorStore> Fp32Store::Reencode(
+    std::unique_ptr<FloatMatrix> rows) const {
+  return std::make_unique<Fp32Store>(std::move(rows));
 }
 
 // ----------------------------------------------------------------- sq8 ----
@@ -339,6 +366,20 @@ FloatMatrix Sq8Store::DecodedCopy() const {
     (void)erased;
   }
   return out;
+}
+
+void Sq8Store::EncodeParams(std::vector<uint8_t>* out) const {
+  util::AppendBytes(out, util::BytesOf(scale_));
+  util::AppendBytes(out, util::BytesOf(offset_));
+}
+
+std::span<const uint8_t> Sq8Store::payload() const {
+  return util::BytesOf(codes_);
+}
+
+std::unique_ptr<VectorStore> Sq8Store::Reencode(
+    std::unique_ptr<FloatMatrix> rows) const {
+  return std::make_unique<Sq8Store>(std::move(rows), scale_, offset_);
 }
 
 // ------------------------------------------------------------------ pq ----
@@ -673,6 +714,20 @@ FloatMatrix PqStore::DecodedCopy() const {
   return out;
 }
 
+void PqStore::EncodeParams(std::vector<uint8_t>* out) const {
+  util::AppendPod(out, static_cast<uint32_t>(m_));
+  util::AppendBytes(out, util::BytesOf(codebooks_));
+}
+
+std::span<const uint8_t> PqStore::payload() const {
+  return util::BytesOf(codes_);
+}
+
+std::unique_ptr<VectorStore> PqStore::Reencode(
+    std::unique_ptr<FloatMatrix> rows) const {
+  return std::make_unique<PqStore>(std::move(rows), m_, codebooks_);
+}
+
 std::unique_ptr<VectorStore> MakeVectorStore(
     StorageKind kind, std::unique_ptr<FloatMatrix> data, size_t pq_m) {
   switch (kind) {
@@ -684,6 +739,97 @@ std::unique_ptr<VectorStore> MakeVectorStore(
       break;
   }
   return std::make_unique<Fp32Store>(std::move(data));
+}
+
+// ------------------------------------------------------------- codec ----
+
+namespace {
+
+Status Corrupt(const std::string& what) {
+  return Status::Corruption("store: " + what);
+}
+
+/// A payload-released rows x dim metadata matrix for adopted codes. Rows
+/// are appended as metadata only, so the fp32 payload (4x the sq8 codes,
+/// 4*dim/m x the pq codes just read) is never allocated.
+std::unique_ptr<FloatMatrix> Shell(uint64_t rows, uint64_t dim) {
+  auto shell = std::make_unique<FloatMatrix>(0, dim);
+  shell->ReleasePayload();
+  const std::vector<float> unread(dim);  // a released matrix skips the copy
+  for (uint64_t r = 0; r < rows; ++r) shell->AppendRow(unread.data(), dim);
+  return shell;
+}
+
+}  // namespace
+
+Result<std::unique_ptr<VectorStore>> DecodeVectorStore(
+    const StoreHeader& header, util::PodReader* in) {
+  const uint64_t rows = header.rows;
+  const uint64_t dim = header.dim;
+  constexpr uint64_t kMax = std::numeric_limits<uint64_t>::max();
+  if (dim == 0 || rows > kMax / dim || dim > kMax / PqStore::kCentroids) {
+    return Corrupt("implausible shape " + std::to_string(rows) + "x" +
+                   std::to_string(dim));
+  }
+  const uint64_t cells = rows * dim;
+  std::unique_ptr<VectorStore> store;
+  switch (static_cast<StorageKind>(header.kind)) {
+    case StorageKind::kFp32: {
+      std::vector<float> values;
+      if (!in->ReadVector(cells, &values)) return Corrupt("truncated rows");
+      store = std::make_unique<Fp32Store>(
+          std::make_unique<FloatMatrix>(rows, dim, std::move(values)));
+      break;
+    }
+    case StorageKind::kSq8: {
+      std::vector<float> scale, offset;
+      std::vector<uint8_t> codes;
+      if (!in->ReadVector(dim, &scale) || !in->ReadVector(dim, &offset)) {
+        return Corrupt("truncated sq8 scales/offsets");
+      }
+      if (!in->ReadVector(cells, &codes)) {
+        return Corrupt("truncated sq8 codes");
+      }
+      store = std::make_unique<Sq8Store>(Shell(rows, dim), std::move(scale),
+                                         std::move(offset), std::move(codes),
+                                         header.trained);
+      break;
+    }
+    case StorageKind::kPq: {
+      uint32_t m = 0;
+      std::vector<float> codebooks;
+      std::vector<uint8_t> codes;
+      if (!in->Read(&m)) return Corrupt("truncated pq subspace count");
+      if (m == 0 || m > dim) {
+        return Corrupt("pq m=" + std::to_string(m) + " out of range for dim " +
+                       std::to_string(dim));
+      }
+      if (!in->ReadVector(PqStore::kCentroids * dim, &codebooks)) {
+        return Corrupt("truncated pq codebooks");
+      }
+      if (!in->ReadVector(rows * m, &codes)) {
+        return Corrupt("truncated pq codes");
+      }
+      store = std::make_unique<PqStore>(Shell(rows, dim), m,
+                                        std::move(codebooks),
+                                        std::move(codes), header.trained);
+      break;
+    }
+    default:
+      return Corrupt("unknown storage kind " + std::to_string(header.kind));
+  }
+  // Replay the free list in erasure order so InsertRow recycles slots in
+  // exactly the order the encoded store would have.
+  for (uint64_t i = 0; i < header.free_count; ++i) {
+    uint32_t slot = 0;
+    if (!in->Read(&slot)) return Corrupt("truncated free list");
+    if (slot >= rows || store->matrix().IsDeleted(slot)) {
+      return Corrupt("free slot " + std::to_string(slot) +
+                     " out of range or repeated");
+    }
+    DBLSH_RETURN_IF_ERROR(store->EraseRow(slot));
+  }
+  return store;
 }
 
 }  // namespace dblsh

@@ -4,10 +4,12 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "dataset/float_matrix.h"
+#include "util/bytes.h"
 #include "util/status.h"
 
 namespace dblsh {
@@ -27,6 +29,17 @@ const char* StorageKindName(StorageKind kind);
 /// Parses a `storage=` spec value ("fp32" | "sq8" | "pq") into a
 /// StorageKind.
 Result<StorageKind> ParseStorageKind(const std::string& name);
+
+/// The fields that frame a persisted store image (see VectorStore::Encode).
+/// Each format keeps them in its own header: the v4 index file stores
+/// kind, rows and dim; the shard snapshot stores all five.
+struct StoreHeader {
+  uint32_t kind = 0;        ///< StorageKind value; range-checked on decode
+  uint64_t rows = 0;        ///< physical rows, tombstoned slots included
+  uint64_t dim = 0;
+  bool trained = true;      ///< false until an empty-seeded store trains
+  uint64_t free_count = 0;  ///< free-list ids that follow the payload
+};
 
 /// Owns one shard's row bytes behind the FloatMatrix that the rest of the
 /// system keeps talking to. The matrix remains the source of truth for
@@ -149,6 +162,36 @@ class VectorStore {
   /// rebuilds indexes afterwards.
   virtual bool RetrainQuantizer() { return false; }
 
+  // ---------------------------------------------------- persisted state --
+  // A store persists as `params ‖ payload` (layout: docs/API.md, "Store
+  // section"). The params are the quantizer — none for fp32, per-dimension
+  // scales and offsets for sq8, m and the codebooks for pq — and the
+  // payload is every physical row as stored, tombstoned slots included.
+  // The v4 index header carries the params and the payload's FNV-1a; the
+  // shard snapshot body carries the whole image (Encode). Callers never
+  // need to know the kind.
+
+  /// Appends the params section to `out`.
+  virtual void EncodeParams(std::vector<uint8_t>* out) const = 0;
+  /// The payload bytes, in place (fp32 rows or u8 codes); valid until the
+  /// store's next mutation.
+  virtual std::span<const uint8_t> payload() const = 0;
+  /// False until an empty-seeded quantized store trains on its first row.
+  virtual bool trained() const { return true; }
+
+  /// The header fields that frame this store's image.
+  StoreHeader header() const;
+  /// Appends this store's image — `params ‖ payload ‖ free list` (the
+  /// matrix's tombstoned slots, in erasure order, as u32) — which
+  /// DecodeVectorStore(header(), ...) restores byte-identically.
+  void Encode(std::vector<uint8_t>* out) const;
+
+  /// A store of this kind and with these params over `rows`' fp32 data,
+  /// re-encoded (never re-trained) — the index-file restore, whose payload
+  /// is the caller's dataset. `rows` must have matrix().cols() columns.
+  virtual std::unique_ptr<VectorStore> Reencode(
+      std::unique_ptr<FloatMatrix> rows) const = 0;
+
  protected:
   /// Adopts `matrix` (never null) and binds this store to it.
   explicit VectorStore(std::unique_ptr<FloatMatrix> matrix);
@@ -198,6 +241,10 @@ class Fp32Store final : public VectorStore {
   void MaterializeDecodeView() override {}
   void ReleaseDecodeView() override {}
   FloatMatrix DecodedCopy() const override;
+  void EncodeParams(std::vector<uint8_t>* out) const override;
+  std::span<const uint8_t> payload() const override;
+  std::unique_ptr<VectorStore> Reencode(
+      std::unique_ptr<FloatMatrix> rows) const override;
 };
 
 /// Scalar-quantized backend: row bytes live in a dim-byte-per-row code
@@ -224,19 +271,19 @@ class Sq8Store final : public VectorStore {
   /// payload. The seed's tombstone state is preserved as-is.
   explicit Sq8Store(std::unique_ptr<FloatMatrix> seed);
 
-  /// Restores a store from persisted quantization parameters (v3 index
-  /// load): re-encodes `data`'s rows with the *saved* scale/offset instead
-  /// of re-training, then releases the payload. `scale`/`offset` must have
-  /// data->cols() entries.
+  /// Restores a store from persisted quantization parameters (Reencode,
+  /// the index-file restore): re-encodes `data`'s rows with the *saved*
+  /// scale/offset instead of re-training, then releases the payload.
+  /// `scale`/`offset` must have data->cols() entries.
   Sq8Store(std::unique_ptr<FloatMatrix> data, std::vector<float> scale,
            std::vector<float> offset);
 
-  /// Adopts persisted code bytes directly (durability snapshot restore):
-  /// `shell` is a payload-released metadata matrix (ids, tombstones,
-  /// free-list) whose fp32 bytes were never materialized, and `codes` are
-  /// its shell->rows() * shell->cols() quantized bytes verbatim — no
+  /// Adopts persisted code bytes directly (DecodeVectorStore, which
+  /// checks every size first): `shell` is a payload-released metadata
+  /// matrix whose fp32 bytes were never materialized, and `codes` are its
+  /// shell->rows() * shell->cols() quantized bytes verbatim — no
   /// re-encoding, so the restored store is byte-identical to the one that
-  /// was snapshotted. `trained` round-trips the empty-seeded flag.
+  /// was encoded. `trained` round-trips the empty-seeded flag.
   Sq8Store(std::unique_ptr<FloatMatrix> shell, std::vector<float> scale,
            std::vector<float> offset, std::vector<uint8_t> codes,
            bool trained);
@@ -258,16 +305,18 @@ class Sq8Store final : public VectorStore {
   void ReleaseDecodeView() override;
   FloatMatrix DecodedCopy() const override;
   bool RetrainQuantizer() override;
+  void EncodeParams(std::vector<uint8_t>* out) const override;
+  std::span<const uint8_t> payload() const override;
+  bool trained() const override { return trained_; }
+  std::unique_ptr<VectorStore> Reencode(
+      std::unique_ptr<FloatMatrix> rows) const override;
 
-  /// Per-dimension quantization parameters (persisted in v3 index files).
+  /// Per-dimension quantization parameters (the params section).
   const std::vector<float>& scales() const { return scale_; }
   const std::vector<float>& offsets() const { return offset_; }
-  /// Raw code bytes, row r at codes()[r * dim .. r * dim + dim) — the v3
-  /// checksum basis.
+  /// Raw code bytes, row r at codes()[r * dim .. r * dim + dim) — the
+  /// payload.
   const std::vector<uint8_t>& codes() const { return codes_; }
-  /// False until the first row trains the scale/offset (empty-seeded
-  /// stores only).
-  bool trained() const { return trained_; }
 
  private:
   /// Derives scale_/offset_ from the per-dimension min/max of `m`'s rows.
@@ -329,17 +378,18 @@ class PqStore final : public VectorStore {
   /// be in [1, seed->cols()]. The seed's tombstone state is preserved.
   PqStore(std::unique_ptr<FloatMatrix> seed, size_t m);
 
-  /// Restores a store from persisted codebooks (v4 index load):
-  /// re-encodes `data`'s rows with the *saved* codebooks instead of
-  /// re-training, then releases the payload. `codebooks` must have
+  /// Restores a store from persisted codebooks (Reencode, the index-file
+  /// restore): re-encodes `data`'s rows with the *saved* codebooks instead
+  /// of re-training, then releases the payload. `codebooks` must have
   /// 256 * data->cols() floats.
   PqStore(std::unique_ptr<FloatMatrix> data, size_t m,
           std::vector<float> codebooks);
 
-  /// Adopts persisted code bytes directly (durability snapshot restore):
-  /// `shell` is a payload-released metadata matrix and `codes` are its
-  /// shell->rows() * m code bytes verbatim — no re-encoding, so the
-  /// restored store is byte-identical to the one that was snapshotted.
+  /// Adopts persisted code bytes directly (DecodeVectorStore, which
+  /// checks every size first): `shell` is a payload-released metadata
+  /// matrix and `codes` are its shell->rows() * m code bytes verbatim — no
+  /// re-encoding, so the restored store is byte-identical to the one that
+  /// was encoded.
   PqStore(std::unique_ptr<FloatMatrix> shell, size_t m,
           std::vector<float> codebooks, std::vector<uint8_t> codes,
           bool trained);
@@ -361,19 +411,20 @@ class PqStore final : public VectorStore {
   void ReleaseDecodeView() override;
   FloatMatrix DecodedCopy() const override;
   bool RetrainQuantizer() override;
+  void EncodeParams(std::vector<uint8_t>* out) const override;
+  std::span<const uint8_t> payload() const override;
+  bool trained() const override { return trained_; }
+  std::unique_ptr<VectorStore> Reencode(
+      std::unique_ptr<FloatMatrix> rows) const override;
 
   /// Number of subspaces (= code bytes per row).
   size_t m() const { return m_; }
   /// Concatenated sub-quantizer codebooks: subspace j's centroid c spans
   /// codebooks()[256 * sub_begin(j) + c * sub_dim(j) ..), totalling
-  /// 256 * dim floats. The v4 persistence payload.
+  /// 256 * dim floats. With m, the params section.
   const std::vector<float>& codebooks() const { return codebooks_; }
-  /// Raw code bytes, row r at codes()[r * m .. r * m + m) — the v4
-  /// checksum basis and the durability snapshot payload.
+  /// Raw code bytes, row r at codes()[r * m .. r * m + m) — the payload.
   const std::vector<uint8_t>& codes() const { return codes_; }
-  /// False until the first row trains the codebooks (empty-seeded stores
-  /// only).
-  bool trained() const { return trained_; }
   /// First dimension of subspace j (j in [0, m]; sub_begin(m) == dim).
   size_t sub_begin(size_t j) const { return sub_begin_[j]; }
   /// Width of subspace j.
@@ -402,6 +453,16 @@ class PqStore final : public VectorStore {
 std::unique_ptr<VectorStore> MakeVectorStore(StorageKind kind,
                                              std::unique_ptr<FloatMatrix> data,
                                              size_t pq_m = 16);
+
+/// Decodes a store image (VectorStore::Encode) framed by `header` from
+/// `in`: the params, the payload — adopted verbatim, never re-encoded —
+/// and header.free_count free-list ids, replayed in order. The kind, every
+/// field, every length and every id are checked against the header and the
+/// bytes left before anything is allocated; any violation is Corruption.
+/// A zero-row header decodes the params alone, which is how index files
+/// read theirs.
+Result<std::unique_ptr<VectorStore>> DecodeVectorStore(
+    const StoreHeader& header, util::PodReader* in);
 
 }  // namespace dblsh
 

@@ -1,80 +1,17 @@
 #ifndef DBLSH_DURABILITY_FORMAT_H_
 #define DBLSH_DURABILITY_FORMAT_H_
 
-#include <cstddef>
-#include <cstdint>
-#include <cstring>
-#include <string>
-#include <vector>
+#include "util/bytes.h"
 
+/// The durability layer's names for the shared byte helpers (util/bytes.h):
+/// its WAL, snapshot and manifest files are checksummed and parsed with the
+/// same code as the DbLsh index file and the vector-store codec.
 namespace dblsh::durability {
 
-/// FNV-1a 64-bit — the same hash family the v3 index files
-/// (core/db_lsh_io.cc) use for their payload checksums; every durable
-/// artifact of this layer is checksummed with it.
-inline uint64_t Fnv1a64(const uint8_t* data, size_t len,
-                        uint64_t seed = 1469598103934665603ull) {
-  uint64_t h = seed;
-  for (size_t i = 0; i < len; ++i) {
-    h ^= data[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-/// Appends `v`'s bytes (host order; the formats are single-machine
-/// artifacts like the v3 index files) to `out`.
-template <typename T>
-inline void AppendPod(std::vector<uint8_t>* out, const T& v) {
-  const auto* bytes = reinterpret_cast<const uint8_t*>(&v);
-  out->insert(out->end(), bytes, bytes + sizeof(T));
-}
-
-/// Appends a raw byte range to `out`. A zero-length range is a no-op
-/// even with a null `data` (an empty shard's row region has no buffer).
-inline void AppendBytes(std::vector<uint8_t>* out, const void* data,
-                        size_t len) {
-  if (len == 0) return;
-  const auto* bytes = reinterpret_cast<const uint8_t*>(data);
-  out->insert(out->end(), bytes, bytes + len);
-}
-
-/// Bounds-checked sequential POD reader over a byte buffer; every Read
-/// returns false instead of running past the end, so truncated or lying
-/// files can never drive an out-of-bounds read.
-class PodReader {
- public:
-  PodReader(const uint8_t* data, size_t len) : data_(data), len_(len) {}
-
-  size_t remaining() const { return len_ - pos_; }
-  size_t position() const { return pos_; }
-
-  template <typename T>
-  bool Read(T* out) {
-    if (remaining() < sizeof(T)) return false;
-    std::memcpy(out, data_ + pos_, sizeof(T));
-    pos_ += sizeof(T);
-    return true;
-  }
-
-  bool ReadBytes(void* out, size_t len) {
-    if (remaining() < len) return false;
-    if (len > 0) std::memcpy(out, data_ + pos_, len);  // null dst when empty
-    pos_ += len;
-    return true;
-  }
-
-  bool Skip(size_t len) {
-    if (remaining() < len) return false;
-    pos_ += len;
-    return true;
-  }
-
- private:
-  const uint8_t* data_;
-  size_t len_;
-  size_t pos_ = 0;
-};
+using util::AppendBytes;
+using util::AppendPod;
+using util::Fnv1a64;
+using util::PodReader;
 
 }  // namespace dblsh::durability
 

@@ -8,7 +8,6 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 
 #include "durability/fail_point.h"
 #include "durability/format.h"
@@ -65,17 +64,6 @@ Status AtomicWrite(const std::string& path, const std::vector<uint8_t>& bytes,
   return Status::OK();
 }
 
-Result<std::vector<uint8_t>> ReadFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status::NotFound("durability: no file at " + path);
-  }
-  std::vector<uint8_t> bytes((std::istreambuf_iterator<char>(in)),
-                             std::istreambuf_iterator<char>());
-  if (in.bad()) return Status::IoError("durability: read failed " + path);
-  return bytes;
-}
-
 }  // namespace
 
 std::string SnapshotPath(const std::string& dir, size_t shard) {
@@ -118,69 +106,36 @@ std::vector<uint64_t> ListWalSegments(const std::string& dir, size_t shard) {
 }
 
 Status SaveShardSnapshot(const std::string& path, const ShardSnapshot& snap) {
-  std::vector<uint8_t> body;
-  const size_t cells = static_cast<size_t>(snap.rows) * snap.dim;
-  if (snap.storage == kSnapshotSq8) {
-    if (snap.scales.size() != snap.dim || snap.offsets.size() != snap.dim ||
-        snap.codes.size() != cells) {
-      return Status::InvalidArgument("snapshot: sq8 shape mismatch");
-    }
-    AppendBytes(&body, snap.scales.data(), snap.dim * sizeof(float));
-    AppendBytes(&body, snap.offsets.data(), snap.dim * sizeof(float));
-    AppendBytes(&body, snap.codes.data(), cells);
-  } else if (snap.storage == kSnapshotPq) {
-    // PQ body: [u32 m][256*dim codebook floats][rows*m codes]. The m
-    // lives in the *body* (not the header) so the fixed header layout —
-    // and kSnapVersion — stay unchanged for the other kinds.
-    if (snap.pq_m == 0 || snap.pq_m > snap.dim ||
-        snap.codebooks.size() != 256 * static_cast<size_t>(snap.dim) ||
-        snap.codes.size() != static_cast<size_t>(snap.rows) * snap.pq_m) {
-      return Status::InvalidArgument("snapshot: pq shape mismatch");
-    }
-    AppendPod(&body, snap.pq_m);
-    AppendBytes(&body, snap.codebooks.data(),
-                snap.codebooks.size() * sizeof(float));
-    AppendBytes(&body, snap.codes.data(), snap.codes.size());
-  } else {
-    if (snap.fp32.size() != cells) {
-      return Status::InvalidArgument("snapshot: fp32 shape mismatch");
-    }
-    AppendBytes(&body, snap.fp32.data(), cells * sizeof(float));
-  }
-  AppendBytes(&body, snap.free_slots.data(),
-              snap.free_slots.size() * sizeof(uint32_t));
-
   std::vector<uint8_t> out;
-  out.reserve(64 + body.size());
+  out.reserve(64 + snap.body.size());
   AppendBytes(&out, kSnapMagic, sizeof(kSnapMagic));
   AppendPod(&out, kSnapVersion);
-  AppendPod(&out, snap.storage);
-  AppendPod(&out, snap.rows);
-  AppendPod(&out, snap.dim);
+  AppendPod(&out, snap.store.kind);
+  AppendPod(&out, snap.store.rows);
+  AppendPod(&out, snap.store.dim);
   AppendPod(&out, snap.lsn);
-  AppendPod(&out, static_cast<uint8_t>(snap.trained ? 1 : 0));
-  AppendPod(&out, static_cast<uint64_t>(snap.free_slots.size()));
-  AppendPod(&out, Fnv1a64(body.data(), body.size()));
-  AppendBytes(&out, body.data(), body.size());
+  AppendPod(&out, static_cast<uint8_t>(snap.store.trained ? 1 : 0));
+  AppendPod(&out, snap.store.free_count);
+  AppendPod(&out, Fnv1a64(snap.body.data(), snap.body.size()));
+  AppendBytes(&out, snap.body.data(), snap.body.size());
   return AtomicWrite(path, out, kFailSnapshotWrite);
 }
 
 Result<ShardSnapshot> LoadShardSnapshot(const std::string& path) {
-  auto bytes_or = ReadFile(path);
+  auto bytes_or = util::ReadFileBytes(path);
   if (!bytes_or.ok()) return bytes_or.status();
-  const std::vector<uint8_t> bytes = std::move(bytes_or).value();
+  std::vector<uint8_t> bytes = std::move(bytes_or).value();
 
   PodReader reader(bytes.data(), bytes.size());
   char magic[8];
   uint32_t version = 0;
   ShardSnapshot snap;
   uint8_t trained = 0;
-  uint64_t nfree = 0;
   uint64_t body_sum = 0;
   if (!reader.ReadBytes(magic, sizeof(magic)) || !reader.Read(&version) ||
-      !reader.Read(&snap.storage) || !reader.Read(&snap.rows) ||
-      !reader.Read(&snap.dim) || !reader.Read(&snap.lsn) ||
-      !reader.Read(&trained) || !reader.Read(&nfree) ||
+      !reader.Read(&snap.store.kind) || !reader.Read(&snap.store.rows) ||
+      !reader.Read(&snap.store.dim) || !reader.Read(&snap.lsn) ||
+      !reader.Read(&trained) || !reader.Read(&snap.store.free_count) ||
       !reader.Read(&body_sum)) {
     return Status::Corruption("snapshot: truncated header " + path);
   }
@@ -191,64 +146,12 @@ Result<ShardSnapshot> LoadShardSnapshot(const std::string& path) {
     return Status::Corruption("snapshot: unsupported version " +
                               std::to_string(version) + " " + path);
   }
-  if (snap.storage != kSnapshotFp32 && snap.storage != kSnapshotSq8 &&
-      snap.storage != kSnapshotPq) {
-    return Status::Corruption("snapshot: unknown storage kind " + path);
-  }
-  snap.trained = trained != 0;
-
-  const uint8_t* body = bytes.data() + reader.position();
-  const size_t body_len = reader.remaining();
-  if (body_sum != Fnv1a64(body, body_len)) {
+  snap.store.trained = trained != 0;
+  bytes.erase(bytes.begin(),
+              bytes.begin() + static_cast<ptrdiff_t>(reader.position()));
+  snap.body = std::move(bytes);
+  if (body_sum != Fnv1a64(snap.body.data(), snap.body.size())) {
     return Status::Corruption("snapshot: body checksum mismatch " + path);
-  }
-
-  const size_t cells = static_cast<size_t>(snap.rows) * snap.dim;
-  size_t expect = nfree * sizeof(uint32_t);
-  if (snap.storage == kSnapshotSq8) {
-    expect += 2 * static_cast<size_t>(snap.dim) * sizeof(float) + cells;
-  } else if (snap.storage == kSnapshotPq) {
-    // The subspace count is the body's first field; read it before the
-    // size check since the code block's length depends on it.
-    if (!reader.Read(&snap.pq_m)) {
-      return Status::Corruption("snapshot: truncated pq body " + path);
-    }
-    if (snap.pq_m == 0 || snap.pq_m > snap.dim) {
-      return Status::Corruption("snapshot: pq m out of range " + path);
-    }
-    expect += sizeof(uint32_t) +
-              256 * static_cast<size_t>(snap.dim) * sizeof(float) +
-              static_cast<size_t>(snap.rows) * snap.pq_m;
-  } else {
-    expect += cells * sizeof(float);
-  }
-  if (body_len != expect || nfree > snap.rows) {
-    return Status::Corruption("snapshot: body size mismatch " + path);
-  }
-
-  if (snap.storage == kSnapshotSq8) {
-    snap.scales.resize(snap.dim);
-    snap.offsets.resize(snap.dim);
-    snap.codes.resize(cells);
-    reader.ReadBytes(snap.scales.data(), snap.dim * sizeof(float));
-    reader.ReadBytes(snap.offsets.data(), snap.dim * sizeof(float));
-    reader.ReadBytes(snap.codes.data(), cells);
-  } else if (snap.storage == kSnapshotPq) {
-    snap.codebooks.resize(256 * static_cast<size_t>(snap.dim));
-    snap.codes.resize(static_cast<size_t>(snap.rows) * snap.pq_m);
-    reader.ReadBytes(snap.codebooks.data(),
-                     snap.codebooks.size() * sizeof(float));
-    reader.ReadBytes(snap.codes.data(), snap.codes.size());
-  } else {
-    snap.fp32.resize(cells);
-    reader.ReadBytes(snap.fp32.data(), cells * sizeof(float));
-  }
-  snap.free_slots.resize(nfree);
-  reader.ReadBytes(snap.free_slots.data(), nfree * sizeof(uint32_t));
-  for (const uint32_t slot : snap.free_slots) {
-    if (slot >= snap.rows) {
-      return Status::Corruption("snapshot: free slot out of range " + path);
-    }
   }
   return snap;
 }
@@ -268,7 +171,7 @@ Status SaveManifest(const std::string& dir, const Manifest& manifest) {
 
 Result<Manifest> LoadManifest(const std::string& dir) {
   const std::string path = ManifestPath(dir);
-  auto bytes_or = ReadFile(path);
+  auto bytes_or = util::ReadFileBytes(path);
   if (!bytes_or.ok()) return bytes_or.status();
   const std::vector<uint8_t> bytes = std::move(bytes_or).value();
 

@@ -5,33 +5,22 @@
 #include <string>
 #include <vector>
 
+#include "dataset/vector_store.h"
 #include "util/status.h"
 
 namespace dblsh::durability {
 
-/// Storage kinds a shard snapshot can encode (mirrors
-/// dataset::StorageKind without importing the dataset layer).
-inline constexpr uint32_t kSnapshotFp32 = 0;
-inline constexpr uint32_t kSnapshotSq8 = 1;
-inline constexpr uint32_t kSnapshotPq = 2;
-
-/// A point-in-time, self-verifying image of one shard's vector store:
-/// the physical row block (including tombstoned rows — the free list is
-/// preserved verbatim so recovered id assignment replays identically),
-/// plus the LSN the image is consistent up to.
+/// A point-in-time, self-verifying image of one shard's vector store,
+/// plus the LSN the image is consistent up to. `body` is the store image
+/// VectorStore::Encode writes — `params ‖ payload ‖ free list`, tombstoned
+/// rows and the free-list order included, so recovered id assignment
+/// replays identically — framed by `store` (VectorStore::header). This
+/// layer treats the body as opaque checksummed bytes; DecodeVectorStore
+/// checks and decodes it.
 struct ShardSnapshot {
-  uint32_t storage = kSnapshotFp32;
-  uint64_t rows = 0;
-  uint64_t dim = 0;
-  uint64_t lsn = 0;      ///< epoch value the snapshot is consistent up to
-  bool trained = false;  ///< quantizer trained flag (sq8 / pq)
-  uint32_t pq_m = 0;     ///< subspace count (pq only; stored in the body)
-  std::vector<uint32_t> free_slots;  ///< tombstoned local ids, LIFO order
-  std::vector<float> fp32;           ///< rows*dim floats (fp32 only)
-  std::vector<float> scales;         ///< dim floats (sq8 only)
-  std::vector<float> offsets;        ///< dim floats (sq8 only)
-  std::vector<float> codebooks;      ///< 256*dim floats (pq only)
-  std::vector<uint8_t> codes;  ///< rows*dim (sq8) / rows*pq_m (pq) codes
+  StoreHeader store;  ///< kind, rows, dim, trained flag, free-list count
+  uint64_t lsn = 0;   ///< epoch value the snapshot is consistent up to
+  std::vector<uint8_t> body;  ///< the store image (VectorStore::Encode)
 };
 
 /// Checkpoint root record: which WAL generation is live and what the
@@ -40,7 +29,7 @@ struct ShardSnapshot {
 struct Manifest {
   uint32_t shards = 0;
   uint32_t dim = 0;
-  uint32_t storage = kSnapshotFp32;
+  uint32_t storage = 0;  ///< StorageKind value
   uint64_t wal_seq = 0;  ///< live segments are `shard-N.wal.<wal_seq>`
   uint64_t checkpoint_lsn = 0;
 };
@@ -62,8 +51,9 @@ std::vector<uint64_t> ListWalSegments(const std::string& dir, size_t shard);
 /// Consults FailPoints (kFailSnapshotWrite).
 Status SaveShardSnapshot(const std::string& path, const ShardSnapshot& snap);
 
-/// Loads and verifies a snapshot. NotFound when the file is absent,
-/// Corruption when any checksum or shape check fails.
+/// Loads a snapshot and verifies its header and body checksum. NotFound
+/// when the file is absent, Corruption on damage; the body's shape is
+/// checked by the store decoder.
 Result<ShardSnapshot> LoadShardSnapshot(const std::string& path);
 
 /// Writes the manifest via tmp-file + atomic rename (the checkpoint commit

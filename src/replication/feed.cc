@@ -2,40 +2,24 @@
 
 #include <algorithm>
 #include <chrono>
-#include <fstream>
 #include <thread>
 #include <utility>
 
 #include "durability/fail_point.h"
+#include "util/bytes.h"
 
 namespace dblsh::replication {
 
 namespace {
 
-// Reads the whole file at `path` (the shard snapshot to bootstrap from).
-Status ReadFileBytes(const std::string& path, std::vector<uint8_t>* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("replication: cannot open " + path);
-  in.seekg(0, std::ios::end);
-  const std::streamoff size = in.tellg();
-  if (size < 0) return Status::IoError("replication: cannot stat " + path);
-  in.seekg(0, std::ios::beg);
-  out->resize(static_cast<size_t>(size));
-  if (size > 0 &&
-      !in.read(reinterpret_cast<char*>(out->data()), size)) {
-    return Status::IoError("replication: short read of " + path);
-  }
-  return Status::OK();
-}
-
 // Ships the shard snapshot file in chunks. The file is self-checksummed
 // (SaveShardSnapshot), so the bytes travel verbatim and the follower
 // verifies by loading what it wrote.
 Status StreamSnapshot(const FeedOptions& options) {
-  std::vector<uint8_t> bytes;
-  Status s = ReadFileBytes(
-      durability::SnapshotPath(options.dir, options.shard), &bytes);
-  if (!s.ok()) return s;
+  auto file = util::ReadFileBytes(
+      durability::SnapshotPath(options.dir, options.shard));
+  if (!file.ok()) return file.status();
+  const std::vector<uint8_t>& bytes = file.value();
   const uint64_t total = bytes.size();
   uint64_t offset = 0;
   do {

@@ -153,7 +153,7 @@ Status Replica::Bootstrap() {
 
   uint32_t nshards = 0;
   uint32_t dim = 0;
-  uint32_t storage = durability::kSnapshotFp32;
+  uint32_t storage = 0;
   uint64_t checkpoint_lsn = 0;
   // One connection streams every shard sequentially: each snapshot
   // stream ends at its last chunk and the connection returns to request

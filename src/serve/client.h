@@ -65,8 +65,7 @@ struct RemoteStats {
 struct SubscribeAck {
   uint32_t shards = 0;
   uint32_t dim = 0;
-  uint8_t storage = 0;  ///< durability::kSnapshotFp32 / kSnapshotSq8 /
-                        ///< kSnapshotPq
+  uint8_t storage = 0;  ///< StorageKind value (the manifest's)
   uint8_t mode = 0;     ///< replication::kFeedModeTail / kFeedModeSnapshot
   uint64_t snapshot_lsn = 0;  ///< the shard snapshot's LSN
   uint64_t shard_lsn = 0;     ///< primary's applied LSN for the shard

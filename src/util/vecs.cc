@@ -6,12 +6,48 @@ namespace dblsh::util {
 
 namespace {
 
+// Opens a vecs file positioned at its start and reports its size, so each
+// record's claimed length can be checked against the bytes left.
+Status OpenVecs(const std::string& path, std::ifstream* in, uint64_t* size) {
+  in->open(path, std::ios::binary | std::ios::ate);
+  if (!*in) return Status::IoError("vecs: cannot open " + path);
+  *size = static_cast<uint64_t>(in->tellg());
+  in->seekg(0, std::ios::beg);
+  return Status::OK();
+}
+
+// Validates the header `d` of vector `index`, with `left` bytes of the file
+// after it: positive, equal to `*dim` once the first vector set it, and no
+// longer than what is left — checked before anything is allocated, so a
+// lying header cannot drive a huge allocation.
+template <typename T>
+Status CheckRecord(int32_t d, size_t index, uint64_t left, size_t* dim,
+                   const std::string& path) {
+  if (d <= 0) {
+    return Status::Corruption("vecs: non-positive dimension " +
+                              std::to_string(d) + " in " + path);
+  }
+  if (*dim != 0 && static_cast<size_t>(d) != *dim) {
+    return Status::Corruption(
+        "vecs: vector " + std::to_string(index) + " has dimension " +
+        std::to_string(d) + ", expected " + std::to_string(*dim) + " in " +
+        path);
+  }
+  if (static_cast<uint64_t>(d) * sizeof(T) > left) {
+    return Status::Corruption("vecs: truncated vector " +
+                              std::to_string(index) + " in " + path);
+  }
+  *dim = static_cast<size_t>(d);
+  return Status::OK();
+}
+
 // Shared scan loop: every vecs flavor is `int32 d` + d components of
 // sizeof(T) bytes, repeated to end of file.
 template <typename T, typename Data>
 Result<Data> ReadVecsFile(const std::string& path, size_t max_vectors) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("vecs: cannot open " + path);
+  std::ifstream in;
+  uint64_t left = 0;
+  DBLSH_RETURN_IF_ERROR(OpenVecs(path, &in, &left));
   Data data;
   size_t read_vectors = 0;
   while (max_vectors == 0 || read_vectors < max_vectors) {
@@ -20,18 +56,10 @@ Result<Data> ReadVecsFile(const std::string& path, size_t max_vectors) {
       if (in.eof() && in.gcount() == 0) break;  // clean end between vectors
       return Status::Corruption("vecs: truncated header in " + path);
     }
-    if (d <= 0) {
-      return Status::Corruption("vecs: non-positive dimension " +
-                                std::to_string(d) + " in " + path);
-    }
-    if (data.dim == 0) {
-      data.dim = static_cast<size_t>(d);
-    } else if (static_cast<size_t>(d) != data.dim) {
-      return Status::Corruption(
-          "vecs: vector " + std::to_string(read_vectors) + " has dimension " +
-          std::to_string(d) + ", expected " + std::to_string(data.dim) +
-          " in " + path);
-    }
+    left -= sizeof(d);
+    DBLSH_RETURN_IF_ERROR(
+        CheckRecord<T>(d, read_vectors, left, &data.dim, path));
+    left -= data.dim * sizeof(T);
     const size_t offset = data.values.size();
     data.values.resize(offset + data.dim);
     if (!in.read(reinterpret_cast<char*>(data.values.data() + offset),
@@ -51,8 +79,9 @@ template <typename T>
 Result<size_t> StreamVecsFile(const std::string& path,
                               const VecsRowVisitor& visit,
                               size_t max_vectors) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("vecs: cannot open " + path);
+  std::ifstream in;
+  uint64_t left = 0;
+  DBLSH_RETURN_IF_ERROR(OpenVecs(path, &in, &left));
   std::vector<T> raw;
   std::vector<float> row;
   size_t dim = 0;
@@ -63,20 +92,11 @@ Result<size_t> StreamVecsFile(const std::string& path,
       if (in.eof() && in.gcount() == 0) break;  // clean end between vectors
       return Status::Corruption("vecs: truncated header in " + path);
     }
-    if (d <= 0) {
-      return Status::Corruption("vecs: non-positive dimension " +
-                                std::to_string(d) + " in " + path);
-    }
-    if (dim == 0) {
-      dim = static_cast<size_t>(d);
-      raw.resize(dim);
-      row.resize(dim);
-    } else if (static_cast<size_t>(d) != dim) {
-      return Status::Corruption(
-          "vecs: vector " + std::to_string(read_vectors) + " has dimension " +
-          std::to_string(d) + ", expected " + std::to_string(dim) + " in " +
-          path);
-    }
+    left -= sizeof(d);
+    DBLSH_RETURN_IF_ERROR(CheckRecord<T>(d, read_vectors, left, &dim, path));
+    left -= dim * sizeof(T);
+    raw.resize(dim);
+    row.resize(dim);
     if (!in.read(reinterpret_cast<char*>(raw.data()),
                  static_cast<std::streamsize>(dim * sizeof(T)))) {
       return Status::Corruption("vecs: truncated vector " +

@@ -1,15 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <string>
+#include <utility>
 
 #include "dataset/float_matrix.h"
 #include "dataset/ground_truth.h"
-#include "dataset/io.h"
 #include "dataset/stats.h"
 #include "dataset/synthetic.h"
 #include "util/distance.h"
+#include "util/vecs.h"
 
 namespace dblsh {
 namespace {
@@ -50,6 +53,27 @@ TEST(FloatMatrixTest, PrefixCopiesLeadingRows) {
 
 // --------------------------------------------------------------------- IO --
 
+// Writes `m` as an .fvecs file, one `int32 d` header per row.
+void WriteFvecsFile(const FloatMatrix& m, const std::string& path) {
+  std::ofstream out(path, std::ios::binary);
+  const int32_t dim = static_cast<int32_t>(m.cols());
+  for (size_t i = 0; i < m.rows(); ++i) {
+    out.write(reinterpret_cast<const char*>(&dim), sizeof(dim));
+    out.write(reinterpret_cast<const char*>(m.row(i)),
+              static_cast<std::streamsize>(m.cols() * sizeof(float)));
+  }
+}
+
+// Loads an .fvecs file into a FloatMatrix through util::ReadFvecs.
+Result<FloatMatrix> LoadFvecsMatrix(const std::string& path,
+                                    size_t max_rows = 0) {
+  auto read = util::ReadFvecs(path, max_rows);
+  if (!read.ok()) return read.status();
+  util::FvecsData rows = std::move(read).value();
+  const size_t count = rows.count();
+  return FloatMatrix(count, rows.dim, std::move(rows.values));
+}
+
 TEST(IoTest, FvecsRoundTrip) {
   FloatMatrix m(4, 3);
   for (size_t i = 0; i < 4; ++i) {
@@ -58,8 +82,8 @@ TEST(IoTest, FvecsRoundTrip) {
     }
   }
   const std::string path = TempPath("dblsh_roundtrip.fvecs");
-  ASSERT_TRUE(SaveFvecs(m, path).ok());
-  auto loaded = LoadFvecs(path);
+  WriteFvecsFile(m, path);
+  auto loaded = LoadFvecsMatrix(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded.value().rows(), 4u);
   EXPECT_EQ(loaded.value().cols(), 3u);
@@ -70,15 +94,15 @@ TEST(IoTest, FvecsRoundTrip) {
 TEST(IoTest, FvecsMaxRowsTruncates) {
   FloatMatrix m(10, 2);
   const std::string path = TempPath("dblsh_maxrows.fvecs");
-  ASSERT_TRUE(SaveFvecs(m, path).ok());
-  auto loaded = LoadFvecs(path, 4);
+  WriteFvecsFile(m, path);
+  auto loaded = LoadFvecsMatrix(path, 4);
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded.value().rows(), 4u);
   std::remove(path.c_str());
 }
 
 TEST(IoTest, MissingFileIsIoError) {
-  auto r = LoadFvecs("/nonexistent/definitely/missing.fvecs");
+  auto r = LoadFvecsMatrix("/nonexistent/definitely/missing.fvecs");
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kIoError);
 }
@@ -92,7 +116,7 @@ TEST(IoTest, TruncatedRecordIsCorruption) {
     const float partial[3] = {1.f, 2.f, 3.f};  // 8 promised, 3 written
     out.write(reinterpret_cast<const char*>(partial), sizeof(partial));
   }
-  auto r = LoadFvecs(path);
+  auto r = LoadFvecsMatrix(path);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kCorruption);
   std::remove(path.c_str());
@@ -105,7 +129,7 @@ TEST(IoTest, NegativeDimensionIsCorruption) {
     const int32_t dim = -5;
     out.write(reinterpret_cast<const char*>(&dim), sizeof(dim));
   }
-  auto r = LoadFvecs(path);
+  auto r = LoadFvecsMatrix(path);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kCorruption);
   std::remove(path.c_str());
@@ -124,7 +148,7 @@ TEST(IoTest, InconsistentDimensionsIsCorruption) {
     out.write(reinterpret_cast<const char*>(&dim), sizeof(dim));
     out.write(reinterpret_cast<const char*>(row3), sizeof(row3));
   }
-  auto r = LoadFvecs(path);
+  auto r = LoadFvecsMatrix(path);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kCorruption);
   std::remove(path.c_str());
@@ -139,22 +163,12 @@ TEST(IoTest, BvecsWidensToFloat) {
     out.write(reinterpret_cast<const char*>(&dim), sizeof(dim));
     out.write(reinterpret_cast<const char*>(bytes), sizeof(bytes));
   }
-  auto r = LoadBvecs(path);
+  auto r = util::ReadBvecsAsFloat(path);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_FLOAT_EQ(r.value().at(0, 3), 255.f);
-  std::remove(path.c_str());
-}
-
-TEST(IoTest, TextLoader) {
-  const std::string path = TempPath("dblsh_text.txt");
-  {
-    std::ofstream out(path);
-    out << "1 2 3\n4 5 6\n\n7 8 9\n";
-  }
-  auto r = LoadText(path);
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r.value().rows(), 3u);
-  EXPECT_FLOAT_EQ(r.value().at(2, 0), 7.f);
+  util::FvecsData rows = std::move(r).value();
+  const size_t count = rows.count();
+  const FloatMatrix m(count, rows.dim, std::move(rows.values));
+  EXPECT_FLOAT_EQ(m.at(0, 3), 255.f);
   std::remove(path.c_str());
 }
 

@@ -558,6 +558,34 @@ TEST_F(DurabilityOpenTest, CorruptSnapshotIsTyped) {
   EXPECT_EQ(opened.status().code(), StatusCode::kCorruption);
 }
 
+// A shard snapshot must hold the storage kind the manifest records: a pq
+// snapshot copied into an sq8 directory of the same dim is Corruption
+// naming the shard and both kinds, never a store of the wrong kind.
+TEST_F(DurabilityOpenTest, SnapshotOfAnotherStorageKindIsCorruption) {
+  TempDir pq_dir("open_kind_pq");
+  TempDir sq8_dir("open_kind_sq8");
+  for (const auto& [dir, storage] :
+       {std::pair{&pq_dir, ",storage=pq,m=16"},
+        std::pair{&sq8_dir, ",storage=sq8"}}) {
+    FloatMatrix data =
+        GenerateClustered({.n = 40, .dim = 16, .clusters = 4});
+    auto made =
+        Collection::FromSpec(DurableSpec(dir->path(), storage),
+                             std::make_unique<FloatMatrix>(std::move(data)));
+    ASSERT_TRUE(made.ok()) << made.status().ToString();
+  }
+  WriteFileBytes(durability::SnapshotPath(sq8_dir.path(), 0),
+                 ReadFileBytes(durability::SnapshotPath(pq_dir.path(), 0)));
+
+  auto opened = Collection::Open(DurableSpec(sq8_dir.path(), ",storage=sq8"));
+  ASSERT_FALSE(opened.ok());
+  EXPECT_EQ(opened.status().code(), StatusCode::kCorruption);
+  const std::string& message = opened.status().message();
+  EXPECT_NE(message.find("shard 0"), std::string::npos) << message;
+  EXPECT_NE(message.find("pq"), std::string::npos) << message;
+  EXPECT_NE(message.find("sq8"), std::string::npos) << message;
+}
+
 TEST_F(DurabilityOpenTest, ShardGeometryMismatchIsRejected) {
   TempDir dir("open_shards");
   FloatMatrix data = GenerateClustered({.n = 20, .dim = 8, .clusters = 2});

@@ -203,11 +203,15 @@ TEST(QueryApiTest, BatchMatchesSequentialSearch) {
     ASSERT_TRUE(made.value()->Build(&data).ok());
     QueryRequest request;
     request.k = 9;
-    const auto batched = made.value()->QueryBatch(queries, request, 4);
-    ASSERT_EQ(batched.size(), queries.rows());
-    for (size_t q = 0; q < queries.rows(); ++q) {
-      const auto single = made.value()->Search(queries.row(q), request);
-      EXPECT_EQ(batched[q].neighbors, single.neighbors) << "query " << q;
+    for (const size_t threads : {size_t{1}, size_t{4}}) {
+      SCOPED_TRACE(threads);
+      const auto batched =
+          made.value()->QueryBatch(queries, request, threads);
+      ASSERT_EQ(batched.size(), queries.rows());
+      for (size_t q = 0; q < queries.rows(); ++q) {
+        const auto single = made.value()->Search(queries.row(q), request);
+        EXPECT_EQ(batched[q].neighbors, single.neighbors) << "query " << q;
+      }
     }
   }
 }

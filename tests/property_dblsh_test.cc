@@ -1,17 +1,18 @@
 // Parameterized property tests of the DB-LSH index across approximation
 // ratios, bucket widths, table counts and bucketing modes, plus tests for
-// the SRS baseline and the parallel batch query runner.
+// the SRS baseline and the parallel batch query path.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "baselines/srs.h"
 #include "core/db_lsh.h"
 #include "dataset/ground_truth.h"
 #include "dataset/synthetic.h"
 #include "eval/metrics.h"
-#include "eval/parallel.h"
 
 namespace dblsh {
 namespace {
@@ -211,11 +212,25 @@ TEST(SrsTest, NoisierThanPmLshProjection) {
 
 // ------------------------------------------------------- parallel query --
 
+std::vector<std::vector<Neighbor>> BatchNeighbors(const DbLsh& index,
+                                                  const FloatMatrix& queries,
+                                                  size_t k,
+                                                  size_t num_threads) {
+  QueryRequest request;
+  request.k = k;
+  std::vector<std::vector<Neighbor>> results;
+  for (QueryResponse& response :
+       index.QueryBatch(queries, request, num_threads)) {
+    results.push_back(std::move(response.neighbors));
+  }
+  return results;
+}
+
 TEST(ParallelQueryTest, MatchesSequentialExactly) {
   const Fixture& f = SharedFixture();
   DbLsh index;
   ASSERT_TRUE(index.Build(&f.data).ok());
-  const auto parallel = eval::ParallelQuery(index, f.queries, 10, 4);
+  const auto parallel = BatchNeighbors(index, f.queries, 10, 4);
   ASSERT_EQ(parallel.size(), f.queries.rows());
   for (size_t q = 0; q < f.queries.rows(); ++q) {
     const auto sequential = index.Query(f.queries.row(q), 10);
@@ -231,10 +246,10 @@ TEST(ParallelQueryTest, SingleThreadAndEmptyInputs) {
   const Fixture& f = SharedFixture();
   DbLsh index;
   ASSERT_TRUE(index.Build(&f.data).ok());
-  const auto one = eval::ParallelQuery(index, f.queries, 5, 1);
+  const auto one = BatchNeighbors(index, f.queries, 5, 1);
   EXPECT_EQ(one.size(), f.queries.rows());
   FloatMatrix none(0, f.data.cols());
-  EXPECT_TRUE(eval::ParallelQuery(index, none, 5, 4).empty());
+  EXPECT_TRUE(BatchNeighbors(index, none, 5, 4).empty());
 }
 
 TEST(ParallelQueryTest, ScratchReuseAcrossManyQueries) {

@@ -9,7 +9,9 @@
 #include <cstdint>
 #include <cstring>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -645,6 +647,212 @@ TEST(StorePersistenceTest, V3FilesStillLoadAndV3PqIsRejected) {
   std::remove(v3_path.c_str());
   std::remove(pq_v4.c_str());
   std::remove(pq_v3.c_str());
+}
+
+// Byte builders for the crafted files and layout pins below: each field is
+// appended as docs/API.md spells it, independently of the code under test.
+template <typename T>
+void Put(std::vector<uint8_t>* out, const T& value) {
+  const auto* bytes = reinterpret_cast<const uint8_t*>(&value);
+  out->insert(out->end(), bytes, bytes + sizeof(T));
+}
+
+template <typename T>
+void PutAll(std::vector<uint8_t>* out, const std::vector<T>& values) {
+  for (const T& value : values) Put(out, value);
+}
+
+void PutMagic(std::vector<uint8_t>* out, const char (&magic)[9]) {
+  out->insert(out->end(), magic, magic + 8);
+}
+
+uint64_t Fnv1a(const std::vector<uint8_t>& bytes) {
+  uint64_t h = 1469598103934665603ULL;
+  for (const uint8_t b : bytes) {
+    h ^= b;
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+std::vector<uint8_t> ReadAll(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::vector<uint8_t>((std::istreambuf_iterator<char>(in)),
+                              std::istreambuf_iterator<char>());
+}
+
+void WriteAll(const std::string& path, const std::vector<uint8_t>& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+}
+
+// Index files whose lengths lie must fail typed before anything is
+// allocated: every length is checked against the bytes actually present.
+TEST(StorePersistenceTest, CraftedIndexFilesAreCorruptionNotBadAlloc) {
+  // 119 bytes: a valid v4 fp32 header and parameters for an 8x4 dataset
+  // (checksum included, so every check before the body passes), then a
+  // directions matrix claiming 2^20 x 2^19 floats — inside the 2^40
+  // plausibility cap, 2 TiB in size.
+  FloatMatrix data = RandomMatrix(8, 4, 71);
+  std::vector<uint8_t> payload;
+  PutAll(&payload, data.data());
+  std::vector<uint8_t> bytes;
+  PutMagic(&bytes, "DBLSHIDX");
+  Put<uint32_t>(&bytes, 4);
+  Put<uint8_t>(&bytes, 0);  // fp32
+  Put<uint64_t>(&bytes, 8);
+  Put<uint64_t>(&bytes, 4);
+  Put<uint64_t>(&bytes, Fnv1a(payload));
+  Put<double>(&bytes, 1.5);  // c
+  Put<double>(&bytes, 4.0);  // w0
+  Put<uint64_t>(&bytes, 2);  // k
+  Put<uint64_t>(&bytes, 3);  // l
+  Put<uint64_t>(&bytes, 10);  // t
+  Put<uint64_t>(&bytes, 1);  // seed
+  Put<uint8_t>(&bytes, 0);  // bucketing
+  Put<uint8_t>(&bytes, 0);  // backend
+  Put<double>(&bytes, 1.0);  // auto_r0
+  Put<double>(&bytes, 1.0);  // early_stop_slack
+  Put<uint64_t>(&bytes, uint64_t{1} << 20);
+  Put<uint64_t>(&bytes, uint64_t{1} << 19);
+  ASSERT_EQ(bytes.size(), 119u);
+  const std::string lying_matrix = TempPath("store_lying_matrix.idx");
+  WriteAll(lying_matrix, bytes);
+  auto loaded = DbLsh::Load(lying_matrix, &data);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption)
+      << loaded.status().ToString();  // 41 bytes: a pq-tagged header with dim 2^24 and m = 16, whose
+  // codebooks would take 16 GiB; the shape check comes after the params.
+  bytes.clear();
+  PutMagic(&bytes, "DBLSHIDX");
+  Put<uint32_t>(&bytes, 4);
+  Put<uint8_t>(&bytes, 2);  // pq
+  Put<uint64_t>(&bytes, 8);
+  Put<uint64_t>(&bytes, uint64_t{1} << 24);
+  Put<uint64_t>(&bytes, 0);
+  Put<uint32_t>(&bytes, 16);
+  ASSERT_EQ(bytes.size(), 41u);
+  const std::string lying_params = TempPath("store_lying_params.idx");
+  WriteAll(lying_params, bytes);
+  auto store = DbLsh::LoadStore(lying_params,
+                                std::make_unique<FloatMatrix>(data));
+  ASSERT_FALSE(store.ok());
+  EXPECT_EQ(store.status().code(), StatusCode::kCorruption)
+      << store.status().ToString();
+  auto pq = MakeVectorStore(StorageKind::kPq,
+                            std::make_unique<FloatMatrix>(data), 2);
+  auto against_store = DbLsh::Load(lying_params, pq.get());
+  ASSERT_FALSE(against_store.ok());
+  EXPECT_EQ(against_store.status().code(), StatusCode::kCorruption)
+      << against_store.status().ToString();
+  std::remove(lying_matrix.c_str());
+  std::remove(lying_params.c_str());
+}
+
+// Pins the two on-disk layouts that embed a store section — the v4 index
+// header and the shard snapshot (plus the manifest) — against buffers
+// assembled field by field from docs/API.md, for every storage kind. The
+// round-trip tests compare a build's output with itself and cannot see a
+// layout change; this one can.
+TEST(StorePersistenceTest, OnDiskLayoutsMatchTheDocumentedFormat) {
+  const FloatMatrix data = RandomMatrix(40, 8, 61);
+  const std::pair<StorageKind, std::string> kinds[] = {
+      {StorageKind::kFp32, "fp32"},
+      {StorageKind::kSq8, "sq8"},
+      {StorageKind::kPq, "pq,m=4"}};
+  for (const auto& [kind, storage] : kinds) {
+    SCOPED_TRACE(storage);
+    // The store both writers hold: training is deterministic, so this
+    // equals the single shard of the collection below.
+    auto store =
+        MakeVectorStore(kind, std::make_unique<FloatMatrix>(data), 4);
+    ASSERT_TRUE(store->EraseRow(5).ok());
+    ASSERT_TRUE(store->EraseRow(2).ok());
+    // Store section: params, then the payload (all physical rows).
+    std::vector<uint8_t> params, payload;
+    if (kind == StorageKind::kSq8) {
+      const auto& sq8 = static_cast<const Sq8Store&>(*store);
+      PutAll(&params, sq8.scales());
+      PutAll(&params, sq8.offsets());
+      PutAll(&payload, sq8.codes());
+    } else if (kind == StorageKind::kPq) {
+      const auto& pq = static_cast<const PqStore&>(*store);
+      Put<uint32_t>(&params, static_cast<uint32_t>(pq.m()));
+      PutAll(&params, pq.codebooks());
+      PutAll(&payload, pq.codes());
+    } else {
+      PutAll(&payload, data.data());
+    }
+
+    // v4 index file: magic | u32 version | u8 tag | u64 n | u64 dim |
+    // u64 FNV-1a(payload) | params, then the index body.
+    DbLsh index;
+    {
+      ScopedDecodeView view(store.get());
+      ASSERT_TRUE(index.Build(&store->matrix()).ok());
+    }
+    const std::string path = TempPath("store_layout.idx");
+    ASSERT_TRUE(index.Save(path).ok());
+    std::vector<uint8_t> header;
+    PutMagic(&header, "DBLSHIDX");
+    Put<uint32_t>(&header, 4);
+    Put<uint8_t>(&header, static_cast<uint8_t>(kind));
+    Put<uint64_t>(&header, 40);
+    Put<uint64_t>(&header, 8);
+    Put<uint64_t>(&header, Fnv1a(payload));
+    header.insert(header.end(), params.begin(), params.end());
+    const std::vector<uint8_t> file = ReadAll(path);
+    ASSERT_GT(file.size(), header.size());
+    EXPECT_TRUE(std::equal(header.begin(), header.end(), file.begin()));
+    std::remove(path.c_str());
+
+    // Shard snapshot after two deletes and a checkpoint: magic | u32
+    // version | u32 kind | u64 rows | u64 dim | u64 lsn | u8 trained |
+    // u64 free count | u64 FNV-1a(body) | body = params ‖ payload ‖ free
+    // list (u32 ids in erasure order).
+    const std::string dir = TempPath("store_layout_dir");
+    std::filesystem::remove_all(dir);
+    auto made = Collection::FromSpec(
+        "collection,durability=" + dir + ",storage=" + storage +
+            ": LinearScan",
+        std::make_unique<FloatMatrix>(data));
+    ASSERT_TRUE(made.ok()) << made.status().ToString();
+    ASSERT_TRUE(made.value()->Delete(5).ok());
+    ASSERT_TRUE(made.value()->Delete(2).ok());
+    ASSERT_TRUE(made.value()->Checkpoint().ok());
+    std::vector<uint8_t> body = params;
+    body.insert(body.end(), payload.begin(), payload.end());
+    Put<uint32_t>(&body, 5);
+    Put<uint32_t>(&body, 2);
+    std::vector<uint8_t> snapshot;
+    PutMagic(&snapshot, "DBLSHSNP");
+    Put<uint32_t>(&snapshot, 1);
+    Put<uint32_t>(&snapshot, static_cast<uint32_t>(kind));
+    Put<uint64_t>(&snapshot, 40);
+    Put<uint64_t>(&snapshot, 8);
+    Put<uint64_t>(&snapshot, 2);  // lsn: the two deletes
+    Put<uint8_t>(&snapshot, 1);   // trained
+    Put<uint64_t>(&snapshot, 2);  // free count
+    Put<uint64_t>(&snapshot, Fnv1a(body));
+    snapshot.insert(snapshot.end(), body.begin(), body.end());
+    EXPECT_EQ(ReadAll(dir + "/shard-0.snap"), snapshot);
+
+    // Manifest: magic | u32 version | u32 shards | u32 dim | u32 storage |
+    // u64 wal_seq | u64 checkpoint_lsn | u64 FNV-1a(all preceding bytes).
+    std::vector<uint8_t> manifest;
+    PutMagic(&manifest, "DBLSHMAN");
+    Put<uint32_t>(&manifest, 1);
+    Put<uint32_t>(&manifest, 1);
+    Put<uint32_t>(&manifest, 8);
+    Put<uint32_t>(&manifest, static_cast<uint32_t>(kind));
+    Put<uint64_t>(&manifest, 2);  // the seed checkpoint, then this one
+    Put<uint64_t>(&manifest, 2);
+    Put<uint64_t>(&manifest, Fnv1a(manifest));
+    EXPECT_EQ(ReadAll(dir + "/MANIFEST"), manifest);
+    made.value().reset();
+    std::filesystem::remove_all(dir);
+  }
 }
 
 // The recall contract of quantized storage, isolated from any index's

@@ -390,6 +390,22 @@ TEST(VecsTest, RejectsCorruptFiles) {
   read = util::ReadFvecs(torn.path());
   ASSERT_FALSE(read.ok());
   EXPECT_EQ(read.status().code(), StatusCode::kCorruption);
+
+  // A dimension larger than the file: 8 bytes claiming 2^31 - 1 floats
+  // must be rejected before the 8 GiB row buffer is allocated, by both
+  // the whole-file and the streaming reader.
+  VecsFile huge("hugedim");
+  bytes.clear();
+  AppendI32(&bytes, 2147483647);
+  AppendI32(&bytes, 0);
+  huge.Write(bytes);
+  read = util::ReadFvecs(huge.path());
+  ASSERT_FALSE(read.ok());
+  EXPECT_EQ(read.status().code(), StatusCode::kCorruption);
+  auto streamed =
+      util::StreamFvecs(huge.path(), [](size_t, const float*, size_t) {});
+  ASSERT_FALSE(streamed.ok());
+  EXPECT_EQ(streamed.status().code(), StatusCode::kCorruption);
 }
 
 TEST(VecsTest, BvecsAsFloatWidensComponents) {
