@@ -6,6 +6,8 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -514,13 +516,16 @@ class Collection {
  private:
   struct Slot {
     std::string name;
-    std::string method_spec;  ///< factory spec the index was made from
+    /// Factory spec the index was made from: the recipe background
+    /// rebuilds and compactions build replacements from. Empty for a
+    /// prebuilt adoption, which can only rebuild its own instance in place.
+    std::string method_spec;
     std::unique_ptr<AnnIndex> index;
     bool built = false;
     size_t staleness = 0;
     size_t rebuild_threshold = kDefaultRebuildThreshold;
     size_t rebuilds = 0;
-    /// True from background-rebuild scheduling until its swap-in/abandon.
+    /// True from background-rebuild scheduling until the task exits.
     bool rebuild_scheduled = false;
     std::string build_error;  ///< last failed automatic build, "" = healthy
     /// Serializes queries on indexes whose read path is only
@@ -542,7 +547,7 @@ class Collection {
     FloatMatrix* data = nullptr;
     std::vector<Slot> slots;
     /// Bumps on every committed mutation of this shard; background
-    /// rebuilds compare it against their snapshot to validate the swap.
+    /// tasks compare it against their snapshot to validate a landing.
     uint64_t version = 0;
     /// Advisory row/free-slot counts for lock-free insert routing; updated
     /// under `mutex`, read racily by PickInsertShard (routing balance,
@@ -554,12 +559,26 @@ class Collection {
     /// record it as their replay filter, and replication subscriptions
     /// resume from it.
     uint64_t applied_lsn = 0;
-    /// Dead-row count the last compaction could not reclaim (interior
-    /// tombstones); the trigger re-fires only once dead rows exceed it.
+    /// Dead-row count the last compaction examined and could not reclaim
+    /// (interior tombstones); the trigger re-fires only once dead rows
+    /// exceed it.
     size_t compact_floor = 0;
-    /// True from compaction scheduling until the task lands or gives up.
+    /// True from compaction scheduling until the task exits.
     bool compact_scheduled = false;
   };
+
+  /// One shard's part of a fan-out search (see SearchShard).
+  struct ShardAnswer {
+    QueryResponse response;  ///< local ids
+    Status status;           ///< routing error; OK when the shard served
+    /// The shard could not route but holds no live rows: its error stands
+    /// only when no shard can serve (see MergeShardAnswers).
+    bool unroutable_empty = false;
+  };
+
+  /// Background-task target naming the shard's compaction (every slot,
+  /// rebuilt over the trimmed rows) instead of one slot's rebuild.
+  static constexpr size_t kCompaction = SIZE_MAX;
 
   /// The shard owning global id `id` (id % shards).
   size_t ShardOfId(uint32_t id) const { return id % shards_.size(); }
@@ -573,69 +592,118 @@ class Collection {
            static_cast<uint32_t>(shard);
   }
 
+  // ----------------------------------------------------------- write path
+
   /// The shard a fresh Upsert routes to: prefer recycling (a shard with
   /// free slots), then the smallest shard; ties to the lowest index.
   size_t PickInsertShard() const;
 
-  /// Applies one committed mutation to every slot of `shard`: updatable
-  /// built slots already absorbed it structurally (callers do that), so
-  /// this advances staleness of static/unbuilt slots, triggers threshold
-  /// rebuilds (inline or background per options) and lazy first builds,
-  /// bumps the shard version and the collection epoch. Under durability
-  /// the epoch value becomes the mutation's LSN and the record is
-  /// appended (group-commit synced) to the shard's WAL before returning —
-  /// a non-OK return means the in-memory commit stands but was NOT made
-  /// durable (the caller must not acknowledge it; the poisoned writer
-  /// fails every later mutation too, so the durable state stays a
-  /// consistent prefix). Also evaluates the compaction trigger. Caller
-  /// holds the shard's write lock. `vec` carries the upserted vector for
-  /// WalOp::kUpsert and is ignored otherwise.
-  Status CommitMutationLocked(size_t shard_index, durability::WalOp op,
-                              uint32_t global_id, const float* vec);
+  /// Applies one logged mutation to `shard_index`'s store and updatable
+  /// indexes: the only code that changes a shard's rows, shared by primary
+  /// writes, WAL replay and replicated records. kUpsert of a live id
+  /// replaces it in place (erase + insert; the LIFO free list hands the
+  /// slot straight back), of any other id inserts it; kDelete erases;
+  /// kTrim drops the tombstoned tail (`global_id` carries the row count;
+  /// the caller must replace every index in the same critical section —
+  /// ReindexTrimmedLocked); kRetrain re-derives the quantizer and marks
+  /// every built slot due for a rebuild. Corruption when the record
+  /// diverges from the shard: an id of another shard, an erase of a dead
+  /// row, an insert landing off the recorded row, a trim count mismatch.
+  /// A failed structural Insert/Erase self-heals (the slot's staleness
+  /// jumps to its threshold). Caller holds the shard's write lock (or owns
+  /// the collection exclusively, as recovery does); `vec` carries dim()
+  /// floats for kUpsert and is ignored otherwise.
+  Status ApplyLocked(size_t shard_index, durability::WalOp op,
+                     uint32_t global_id, const float* vec);
+
+  /// Commit bookkeeping for one applied record: static and unbuilt slots
+  /// age by one, the shard version and advisory counts move, and the
+  /// applied LSN and the epoch advance. `lsn` 0 allocates the next epoch
+  /// (a primary commit: exactly one epoch per mutation); otherwise the
+  /// record keeps the primary's LSN and the epoch rises to it. Returns the
+  /// LSN. Caller holds the shard's write lock.
+  uint64_t CommitLocked(size_t shard_index, uint64_t lsn);
+
+  /// The primary's write transaction, once the caller validated the
+  /// arguments: ApplyLocked, CommitLocked, the WAL append, then the
+  /// primary-only decisions — the quantizer retrain — and the rebuild and
+  /// compaction triggers. A non-OK return after the apply means the
+  /// in-memory commit stands but was NOT made durable (the caller must not
+  /// acknowledge it; the poisoned writer fails every later mutation too,
+  /// so the durable state stays a consistent prefix). A failing index
+  /// (re)build never fails the write. Caller holds the shard's write lock.
+  Status WriteLocked(size_t shard_index, durability::WalOp op,
+                     uint32_t global_id, const float* vec);
+
+  // ----------------------------------------------------------- durability
 
   /// Sets up a fresh durability directory (no manifest yet): state,
   /// initial checkpoint over the seed rows. Options already validated.
   Status InitDurability(const CollectionOptions& options);
 
   /// Rebuilds every shard's store from its snapshot and replays the WAL
-  /// segments at/after `manifest.wal_seq` (records at or before each
-  /// snapshot's LSN are skipped), then takes a checkpoint so the next
-  /// open starts from a rotated, torn-tail-free log. Called on the empty
-  /// shards of a just-constructed collection, before any index exists.
+  /// segments at/after `manifest.wal_seq` through ApplyLocked (records at
+  /// or before each snapshot's LSN are skipped), then takes a checkpoint
+  /// so the next open starts from a rotated, torn-tail-free log. Called on
+  /// the empty shards of a just-constructed collection, before any index
+  /// exists.
   Status RecoverShards(const CollectionOptions& options,
                        const durability::Manifest& manifest);
 
-  /// Evaluates the tombstone-ratio compaction trigger for `shard` and
-  /// schedules RunCompaction when it fires. Caller holds the write lock.
-  void MaybeCompactLocked(size_t shard_index);
+  /// Appends one record to `shard_index`'s WAL and counts it; OK without
+  /// durability. IoError when the append fails or a failed checkpoint
+  /// rotation left the shard without a live segment. Caller holds the
+  /// shard's write lock.
+  Status AppendWalLocked(size_t shard_index, uint64_t lsn,
+                         durability::WalOp op, uint32_t id, const float* vec);
 
-  /// Registers a pending background compaction and enqueues it (same
-  /// bg_inflight_ bookkeeping as ScheduleRebuild). Caller holds the
-  /// shard's write lock and has set Shard::compact_scheduled.
-  void ScheduleCompaction(size_t shard_index);
+  // ---------------------------------------------- rebuilds and compaction
 
-  /// Executor task: snapshot the shard off-lock, trim the copy's trailing
-  /// tombstones, build replacement indexes over it, then — under the
-  /// write lock, if the shard did not mutate meanwhile — trim the real
-  /// store, log a WAL trim record and swap the indexes in (RebindData).
-  /// The trim and the index swap share one critical section: a stale
-  /// index handing out a trimmed id would read out of bounds. Finishes
-  /// with a best-effort checkpoint to fold the rewrite into the
-  /// snapshots.
-  void RunCompaction(size_t shard_index);
-
-  /// Inline rebuild/lazy-build pass over `shard`'s slots (and background
-  /// scheduling when enabled). Caller holds the shard's write lock.
+  /// The rebuild trigger a commit runs: lazy first builds of unbuilt slots
+  /// over a non-empty shard and threshold rebuilds — inline, or scheduled
+  /// in the background when enabled and the slot has a factory recipe.
+  /// Caller holds the shard's write lock.
   void MaybeRebuildLocked(size_t shard_index);
 
-  /// Registers a pending background rebuild and enqueues it. Caller holds
-  /// the shard's write lock and has set Slot::rebuild_scheduled.
-  void ScheduleRebuild(size_t shard_index, size_t slot_index);
+  /// The compaction trigger a primary commit runs: schedules the shard's
+  /// compaction once its tombstone ratio reaches the threshold with dead
+  /// rows past compact_floor. Caller holds the shard's write lock.
+  void MaybeCompactLocked(size_t shard_index);
 
-  /// Executor task: snapshot the shard off-lock, build a replacement
-  /// index, and swap it in under the write lock if the shard did not
-  /// mutate meanwhile (bounded retries otherwise).
-  void RunBackgroundRebuild(size_t shard_index, size_t slot_index);
+  /// The one background scheduler: unless `target` (a slot index, or
+  /// kCompaction) is already scheduled, flags it, counts it in
+  /// bg_inflight_ and queues RunBackground. Caller holds the shard's write
+  /// lock.
+  void ScheduleLocked(size_t shard_index, size_t target);
+
+  /// The one background loop, for rebuilds and compactions alike: snapshot
+  /// under the shared lock, build off every lock, land under the write
+  /// lock only if the version is unchanged. Its single exit clears the
+  /// scheduled flag and re-runs the trigger check the flag suppressed, so
+  /// a task that lost its race to a commit retries.
+  void RunBackground(size_t shard_index, size_t target);
+
+  /// Lands one finished build in `slot`: the only place a build's outcome
+  /// is recorded. `replacement` (built off-lock over a snapshot proven
+  /// equal to the live rows) is rebound to the live matrix; without one,
+  /// or when its type lacks RebindData support, the slot's own instance
+  /// rebuilds in place, over the decoded view `*view` shared by the
+  /// caller's pass. Caller holds the shard's write lock.
+  void InstallLocked(Shard& shard, Slot& slot,
+                     std::unique_ptr<AnnIndex> replacement,
+                     std::optional<ScopedDecodeView>* view);
+
+  /// Replaces every index of `shard_index` after a trim, in the trim's
+  /// critical section: an index still referencing a trimmed row would
+  /// hand out ids past the new frontier. Slot i takes `replacements[i]`
+  /// when present, else a built slot rebuilds in place; a shard left
+  /// without live rows leaves every slot unbuilt for the next mutation's
+  /// lazy build. Caller holds the shard's write lock.
+  void ReindexTrimmedLocked(
+      size_t shard_index,
+      std::vector<std::unique_ptr<AnnIndex>> replacements);
+
+  // ---------------------------------------------------------------- query
 
   /// Index of the slot serving `index_name` (or the best-capable slot when
   /// empty); negative on routing failure, with `*why` set. Caller holds at
@@ -643,20 +711,33 @@ class Collection {
   int RouteLocked(const Shard& shard, const std::string& index_name,
                   Status* why) const;
 
-  /// One shard's contribution to a fan-out search: routes, rewrites the
-  /// filter into local ids, and queries under the shard's shared lock.
-  /// Local ids in the response; an empty shard contributes an empty
-  /// response. `*empty_shard` reports the skip so the merge can
-  /// distinguish "nothing there" from "no results".
-  Result<QueryResponse> SearchShard(size_t shard_index, const float* query,
-                                    const QueryRequest& request,
-                                    const std::string& index_name,
-                                    bool* empty_shard) const;
+  /// The request shard `shard_index`'s index runs for the caller's
+  /// `request`: under quantized storage k is inflated by `rerank`
+  /// (RerankLocked cuts back to request.k), and a filter is rewritten into
+  /// the shard's local ids. Returns `request` itself when neither applies,
+  /// else `*local`, filled in.
+  const QueryRequest& ShardRequest(size_t shard_index,
+                                   const QueryRequest& request,
+                                   QueryRequest* local) const;
 
-  /// Merges per-shard responses (local ids) into one global response via a
-  /// TopKHeap keyed on (distance, global id); stats are summed.
-  QueryResponse MergeShardResponses(std::vector<QueryResponse> responses,
-                                    size_t k) const;
+  /// Holds `slot`'s query mutex when its read path is only
+  /// thread-compatible; an empty lock otherwise.
+  static std::unique_lock<std::mutex> QueryLock(const Slot& slot);
+
+  /// One shard's part of a fan-out search, under the shard's shared lock:
+  /// route, inflate k (ShardRequest), search under the query lock, then
+  /// re-rank. Local ids in `out->response`.
+  void SearchShard(size_t shard_index, const float* query,
+                   const QueryRequest& request, const std::string& index_name,
+                   ShardAnswer* out) const;
+
+  /// Merges one query's per-shard answers (one per shard, in shard order)
+  /// into a global response via a TopKHeap keyed on (distance, global id);
+  /// stats are summed. The first routing error of a non-empty shard is
+  /// returned; unroutable empty shards contribute nothing unless no shard
+  /// can serve, in which case shard 0's error is returned.
+  Result<QueryResponse> MergeShardAnswers(std::span<const ShardAnswer> answers,
+                                          size_t k) const;
 
   /// Quantized-storage re-rank: rescores `response`'s neighbors (local
   /// ids, quantized-scored at inflated k) with the shard store's exact
@@ -685,8 +766,9 @@ class Collection {
   /// counters); nullptr when durability is off. See collection.cc.
   std::unique_ptr<DurabilityState> durability_;
 
-  // Background-rebuild bookkeeping: count of scheduled-but-unfinished
-  // tasks, waited on by WaitForRebuilds() and the destructor.
+  // Background-task bookkeeping (rebuilds and compactions): count of
+  // scheduled-but-unfinished tasks, waited on by WaitForRebuilds() and the
+  // destructor.
   mutable std::mutex bg_mutex_;
   mutable std::condition_variable bg_cv_;
   mutable size_t bg_inflight_ = 0;

@@ -719,6 +719,44 @@ TEST(CollectionTest, AddPrebuiltIndexServesWithoutRebuild) {
   EXPECT_EQ(c.GetIndex("missing"), nullptr);
 }
 
+// A prebuilt slot has no factory recipe to build a background replacement
+// from, so under rebuild=background it rebuilds its own instance inline.
+TEST(CollectionTest, PrebuiltStaticSlotRebuildsUnderBackgroundRebuild) {
+  auto data = EasyDataPtr(400, 16, 5152);
+  FloatMatrix* raw = data.get();
+  auto made = IndexFactory::Make("PM-LSH");
+  ASSERT_TRUE(made.ok());
+  std::unique_ptr<AnnIndex> index = std::move(made).value();
+  ASSERT_TRUE(index->Build(raw).ok());
+
+  CollectionOptions options;
+  options.background_rebuild = true;
+  Collection c(std::move(data), options);
+  ASSERT_TRUE(c.AddPrebuiltIndex("restored", std::move(index), 2).ok());
+
+  const std::vector<float> outlier = OutlierVector(16);
+  auto up = c.Upsert(outlier.data(), outlier.size());
+  ASSERT_TRUE(up.ok());
+  Rng rng(17);
+  std::vector<float> v(16);
+  for (int i = 0; i < 4; ++i) {
+    for (auto& x : v) x = static_cast<float>(50.0 + rng.Gaussian());
+    ASSERT_TRUE(c.Upsert(v.data(), v.size()).ok());
+  }
+  c.WaitForRebuilds();
+  const CollectionIndexInfo info = c.Indexes()[0];
+  EXPECT_GE(info.rebuilds, 1u);
+  EXPECT_TRUE(info.build_error.empty()) << info.build_error;
+
+  // The rebuilt static index serves a vector upserted after adoption.
+  QueryRequest request;
+  request.k = 1;
+  auto found = c.Search(outlier.data(), request, "restored");
+  ASSERT_TRUE(found.ok()) << found.status().ToString();
+  ASSERT_FALSE(found.value().neighbors.empty());
+  EXPECT_EQ(found.value().neighbors[0].id, up.value());
+}
+
 // ---------------------------------------------------------- sharding ------
 
 TEST(ShardedCollectionTest, SpecParsesShardAndRebuildOptions) {
@@ -754,7 +792,9 @@ TEST(ShardedCollectionTest, PrebuiltAdoptionRequiresSingleShard) {
   auto data = EasyDataPtr(200, 16, 5151);
   auto made = IndexFactory::Make("DB-LSH,t=16");
   ASSERT_TRUE(made.ok());
-  Collection c(std::move(data), {.shards = 2});
+  CollectionOptions options;
+  options.shards = 2;
+  Collection c(std::move(data), options);
   EXPECT_EQ(c.AddPrebuiltIndex("adopted", std::move(made).value()).code(),
             StatusCode::kInvalidArgument);
 }
@@ -792,37 +832,55 @@ TEST(ShardedCollectionTest, ExactMethodMatchesSingleShardBitForBit) {
 
 TEST(ShardedCollectionTest, EmptyAndTinyCollectionsServeAcrossShards) {
   // 8 shards over 3 rows: most shards are empty and must contribute
-  // nothing (not errors) to the merge.
-  Collection c(4, {.shards = 8});
-  ASSERT_TRUE(c.AddIndex("LinearScan").ok());
-  QueryRequest request;
-  request.k = 5;
-  const std::vector<float> probe(4, 0.5f);
-  EXPECT_FALSE(c.Search(probe.data(), request).ok());  // nothing built yet
-  EXPECT_EQ(c.Search(probe.data(), request, "nope").status().code(),
-            StatusCode::kNotFound);  // names still resolve while empty
+  // nothing (not errors) to the merge. One shard is the reference: both
+  // counts must answer alike at every step.
+  for (const size_t shards : {size_t{1}, size_t{8}}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    CollectionOptions options;
+    options.shards = shards;
+    Collection c(4, options);
+    ASSERT_TRUE(c.AddIndex("LinearScan").ok());
+    QueryRequest request;
+    request.k = 5;
+    const std::vector<float> probe(4, 0.5f);
+    EXPECT_FALSE(c.Search(probe.data(), request).ok());  // nothing built yet
+    EXPECT_EQ(c.Search(probe.data(), request, "nope").status().code(),
+              StatusCode::kNotFound);  // names still resolve while empty
 
-  std::vector<uint32_t> ids;
-  for (int i = 0; i < 3; ++i) {
-    const std::vector<float> v(4, static_cast<float>(i));
-    auto up = c.Upsert(v.data(), v.size());
-    ASSERT_TRUE(up.ok()) << up.status().ToString();
-    ids.push_back(up.value());
+    std::vector<uint32_t> ids;
+    for (int i = 0; i < 3; ++i) {
+      const std::vector<float> v(4, static_cast<float>(i));
+      auto up = c.Upsert(v.data(), v.size());
+      ASSERT_TRUE(up.ok()) << up.status().ToString();
+      ids.push_back(up.value());
+    }
+    EXPECT_EQ(c.size(), 3u);
+    auto got = c.Search(probe.data(), request);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(got.value().neighbors.size(), 3u);  // all rows, despite k = 5
+    // Round-trip every id through replace + delete to exercise routing.
+    const std::vector<float> moved(4, 9.f);
+    for (const uint32_t id : ids) {
+      auto rep = c.Upsert(id, moved.data(), moved.size());
+      ASSERT_TRUE(rep.ok()) << rep.status().ToString();
+      EXPECT_EQ(rep.value(), id);
+    }
+    for (const uint32_t id : ids) ASSERT_TRUE(c.Delete(id).ok());
+    EXPECT_EQ(c.size(), 0u);
+    EXPECT_EQ(c.Delete(ids[0]).code(), StatusCode::kNotFound);
+
+    // Every row deleted: the built slots still serve, with no neighbors.
+    auto none = c.Search(probe.data(), request);
+    ASSERT_TRUE(none.ok()) << none.status().ToString();
+    EXPECT_TRUE(none.value().neighbors.empty());
+    FloatMatrix queries(2, 4);
+    auto batch = c.SearchBatch(queries, request);
+    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+    ASSERT_EQ(batch.value().size(), 2u);
+    for (const QueryResponse& response : batch.value()) {
+      EXPECT_TRUE(response.neighbors.empty());
+    }
   }
-  EXPECT_EQ(c.size(), 3u);
-  auto got = c.Search(probe.data(), request);
-  ASSERT_TRUE(got.ok()) << got.status().ToString();
-  EXPECT_EQ(got.value().neighbors.size(), 3u);  // all rows, despite k = 5
-  // Round-trip every id through replace + delete to exercise routing.
-  const std::vector<float> moved(4, 9.f);
-  for (const uint32_t id : ids) {
-    auto rep = c.Upsert(id, moved.data(), moved.size());
-    ASSERT_TRUE(rep.ok()) << rep.status().ToString();
-    EXPECT_EQ(rep.value(), id);
-  }
-  for (const uint32_t id : ids) ASSERT_TRUE(c.Delete(id).ok());
-  EXPECT_EQ(c.size(), 0u);
-  EXPECT_EQ(c.Delete(ids[0]).code(), StatusCode::kNotFound);
 }
 
 // The satellite oracle test: one mutation/query trace applied to a sharded

@@ -1,10 +1,12 @@
 // Tests for the durability subsystem (src/durability/ + the Collection
 // integration): WAL segment round-trips and adversarial tail handling,
 // snapshot edge cases, checkpoint/recover lifecycle, background tombstone
-// compaction, and the randomized crash-point harness — FailPoints-injected
-// kills at WAL/snapshot/manifest write boundaries, each followed by a
-// reopen that is verified against the digests of the committed history
-// ("every acknowledged commit survives, no torn commit is ever replayed").
+// compaction, background tasks (compaction and rebuild) that lose their
+// race to a writer, and the randomized crash-point harness —
+// FailPoints-injected kills at WAL/snapshot/manifest write boundaries, each
+// followed by a reopen that is verified against the digests of the
+// committed history ("every acknowledged commit survives, no torn commit is
+// ever replayed").
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -15,12 +17,15 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "baselines/linear_scan.h"
 #include "core/collection.h"
+#include "core/index_factory.h"
 #include "dataset/float_matrix.h"
 #include "dataset/synthetic.h"
 #include "durability/fail_point.h"
@@ -733,6 +738,131 @@ TEST_F(CompactTest, CompactionDoesNotBlockConcurrentReader) {
   for (const Neighbor& nb : response.value().neighbors) {
     EXPECT_LT(nb.id, 120u);
   }
+}
+
+// ------------------------------------- background tasks racing a writer ---
+
+// Runs first in every HookedScan::Build. A replacement build runs off
+// every collection lock, so a hook that commits a mutation lands exactly
+// where a concurrent writer's commit would: between the task's snapshot
+// and its landing.
+std::function<void()> g_build_hook;
+
+// A LinearScan that is static (it ages by staleness instead of absorbing
+// mutations) and calls g_build_hook before building.
+class HookedScan : public LinearScan {
+ public:
+  Status Build(const FloatMatrix* data) override {
+    if (g_build_hook) g_build_hook();
+    return LinearScan::Build(data);
+  }
+  bool SupportsUpdates() const override { return false; }
+};
+
+// Serves the factory's "LinearScan" entry from HookedScan for one test and
+// restores the plain method afterwards: a registration under a new name
+// would outlive the test and change IndexFactory::ListMethods() for every
+// later test in the process.
+class ScopedHookedScan {
+ public:
+  ScopedHookedScan() {
+    Register([](const IndexFactory::Spec&)
+                 -> Result<std::unique_ptr<AnnIndex>> {
+      return std::unique_ptr<AnnIndex>(std::make_unique<HookedScan>());
+    });
+  }
+  ~ScopedHookedScan() {
+    Register([](const IndexFactory::Spec& spec)
+                 -> Result<std::unique_ptr<AnnIndex>> {
+      SpecReader reader(spec);
+      DBLSH_RETURN_IF_ERROR(reader.Finish());
+      return std::unique_ptr<AnnIndex>(std::make_unique<LinearScan>());
+    });
+    g_build_hook = nullptr;
+  }
+
+ private:
+  static void Register(IndexFactory::Builder builder) {
+    IndexFactory::Register(
+        "LinearScan",
+        "Exact brute-force scan: the ground-truth oracle and linear-cost "
+        "reference point",
+        std::move(builder));
+  }
+};
+
+// A compaction whose first three builds each lose the race to a commit
+// must still land once the writer goes quiet, with no later commit to
+// re-trigger it — and build at most once more than commits raced it.
+TEST_F(CompactTest, CompactionRetriesWithoutAFurtherCommit) {
+  TempDir dir("compact_retry");
+  ScopedHookedScan hooked;
+  FloatMatrix data = GenerateClustered({.n = 100, .dim = 8, .clusters = 4});
+  auto made = Collection::FromSpec(
+      DurableSpec(dir.path(), ",compact_threshold=0.3"),
+      std::make_unique<FloatMatrix>(std::move(data)));
+  ASSERT_TRUE(made.ok()) << made.status().ToString();
+  Collection& c = *made.value();
+  // 29 tombstoned tail rows of 100: just under the trigger.
+  for (uint32_t id = 71; id < 100; ++id) ASSERT_TRUE(c.Delete(id).ok());
+
+  std::atomic<uint32_t> builds{0};
+  g_build_hook = [&] {
+    const uint32_t n = ++builds;
+    if (n <= 3) {
+      EXPECT_TRUE(c.Delete(70 - n).ok());
+    }
+  };
+  ASSERT_TRUE(c.Delete(70).ok());  // ratio 0.30: schedules the compaction
+  c.WaitForRebuilds();
+
+  EXPECT_EQ(c.Durability().compactions, 1u);
+  EXPECT_LE(builds.load(), 3u + 1u);
+  EXPECT_EQ(c.size(), 67u);
+  EXPECT_EQ(c.Snapshot().rows(), 67u) << "racing deletes not trimmed";
+}
+
+// The same race against a background rebuild of a static slot.
+using CollectionBackgroundRebuildTest = DurabilityTest;
+
+TEST_F(CollectionBackgroundRebuildTest, RetriesWithoutAFurtherCommit) {
+  ScopedHookedScan hooked;
+  auto made = Collection::FromSpec(
+      "collection,rebuild=background: LinearScan,rebuild_threshold=2",
+      std::make_unique<FloatMatrix>(
+          GenerateClustered({.n = 100, .dim = 8, .clusters = 4})));
+  ASSERT_TRUE(made.ok()) << made.status().ToString();
+  Collection& c = *made.value();
+  Rng rng(7);
+  ASSERT_TRUE(c.Upsert(MakeVec(8, &rng).data(), 8).ok());  // staleness 1
+
+  std::atomic<uint32_t> builds{0};
+  Rng hook_rng(8);
+  std::vector<float> racing;  // last vector a racing commit upserted
+  uint32_t racing_id = 0;
+  g_build_hook = [&] {
+    if (++builds > 3) return;
+    racing = MakeVec(8, &hook_rng);
+    auto up = c.Upsert(racing.data(), racing.size());
+    ASSERT_TRUE(up.ok()) << up.status().ToString();
+    racing_id = up.value();
+  };
+  // Staleness 2 reaches the threshold: schedules the background rebuild.
+  ASSERT_TRUE(c.Upsert(MakeVec(8, &rng).data(), 8).ok());
+  c.WaitForRebuilds();
+
+  const CollectionIndexInfo info = c.Indexes()[0];
+  EXPECT_EQ(info.rebuilds, 1u);
+  EXPECT_EQ(info.staleness, 0u);
+  EXPECT_TRUE(info.build_error.empty()) << info.build_error;
+  EXPECT_LE(builds.load(), 3u + 1u);
+  // The landed index covers the racing commits too.
+  QueryRequest request;
+  request.k = 1;
+  auto found = c.Search(racing.data(), request);
+  ASSERT_TRUE(found.ok()) << found.status().ToString();
+  ASSERT_EQ(found.value().neighbors.size(), 1u);
+  EXPECT_EQ(found.value().neighbors[0].id, racing_id);
 }
 
 // --------------------------------------------- randomized crash harness ---
