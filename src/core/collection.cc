@@ -1,65 +1,25 @@
-// Collection: construction, the collection spec grammar and the index
-// lineup; the write path (the one apply every change to a shard goes
-// through, the one commit, Upsert/Delete and replicated records); the read
-// path (route, serve, merge, re-rank); durability (recovery, checkpoints,
-// the WAL append, pins); and index rebuilds and compaction (the triggers
-// and the one background loop).
+// Collection construction, the collection spec grammar, the index
+// lineup (AddIndex / AddPrebuiltIndex) and introspection. The rest of the
+// class lives along its seams: collection_write.cc (apply and commit),
+// collection_query.cc (route, serve, merge), collection_durability.cc
+// (recovery, checkpoints, the WAL) and collection_rebuild.cc (rebuild and
+// compaction triggers and the background loop).
 #include "core/collection.h"
 
 #include <algorithm>
 #include <cassert>
-#include <chrono>
-#include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <limits>
-#include <map>
-#include <memory>
 #include <mutex>
-#include <optional>
 #include <shared_mutex>
-#include <string>
 #include <utility>
-#include <vector>
 
+#include "core/collection_internal.h"
 #include "core/index_factory.h"
-#include "durability/fail_point.h"
 #include "durability/snapshot.h"
 #include "util/text.h"
-#include "util/top_k_heap.h"
 
 namespace dblsh {
-
-using durability::WalOp;
-
-/// Runtime state of a durable collection. The WAL writer entries are
-/// guarded by their shard's write lock (appends and checkpoint swap-ins
-/// both hold it); `wal_seq` is guarded by `checkpoint_mutex`; the counters
-/// are plain atomics; `dir`/`compact_threshold`/`wal_sync_every` and
-/// `recovery_ms`/`replayed` are written once during open.
-struct DurabilityState {
-  std::string dir;
-  double compact_threshold = 0.0;
-  uint32_t wal_sync_every = 1;
-  /// Serializes checkpoints (rotation + snapshot + manifest).
-  std::mutex checkpoint_mutex;
-  /// Sequence number of the live WAL segments (`shard-N.wal.<wal_seq>`).
-  uint64_t wal_seq = 0;
-  /// One writer per shard; an entry is swapped under that shard's write
-  /// lock at each checkpoint rotation.
-  std::vector<std::unique_ptr<durability::WalWriter>> wals;
-  std::atomic<uint64_t> checkpoints{0};
-  std::atomic<uint64_t> compactions{0};
-  std::atomic<uint64_t> wal_appends{0};
-  uint64_t replayed = 0;
-  double recovery_ms = 0.0;
-  /// Replication pins (guarded by checkpoint_mutex): pin id -> lowest WAL
-  /// segment sequence the holder still needs. Checkpoint's GC only deletes
-  /// segments below min(new_seq, every pin's floor), so a subscribed
-  /// follower's position is never collected out from under it.
-  uint64_t next_pin = 1;
-  std::map<uint64_t, uint64_t> wal_pins;
-};
 
 Collection::Collection(size_t dim, const CollectionOptions& options)
     : dim_(dim),
@@ -570,967 +530,6 @@ CollectionStorageInfo Collection::Storage() const {
     info.resident_bytes += bytes;
   }
   return info;
-}
-
-Status Collection::ApplyLocked(size_t shard_index, WalOp op,
-                               uint32_t global_id, const float* vec) {
-  Shard& shard = *shards_[shard_index];
-  auto diverged = [&](const std::string& what) {
-    return Status::Corruption("log divergence on shard " +
-                              std::to_string(shard_index) + ": " + what);
-  };
-  if (op == WalOp::kRetrain) {
-    // Deterministic params-from-codes retrain: reproduces the exact code
-    // bytes the primary logged. The codes changed under every built index,
-    // so each is due for the rebuild the primary ran in the same commit.
-    shard.store->RetrainQuantizer();
-    for (Slot& slot : shard.slots) {
-      if (slot.built) slot.staleness = slot.rebuild_threshold;
-    }
-    return Status::OK();
-  }
-  if (op == WalOp::kTrim) {
-    const size_t trimmed = shard.store->TrimTombstonedTail();
-    if (trimmed != global_id) {
-      return diverged("trim removed " + std::to_string(trimmed) +
-                      " rows, log recorded " + std::to_string(global_id));
-    }
-    return Status::OK();
-  }
-  if (op != WalOp::kUpsert && op != WalOp::kDelete) {
-    return Status::Corruption(
-        "log record has unknown op " +
-        std::to_string(static_cast<unsigned>(op)));
-  }
-  if (ShardOfId(global_id) != shard_index) {
-    return Status::Corruption("log record for id " +
-                              std::to_string(global_id) +
-                              " applied to shard " +
-                              std::to_string(shard_index));
-  }
-  const uint32_t local = LocalOfId(global_id);
-  // In-place maintenance of the updatable built slots (quantized slots are
-  // static: it reads fp32 rows the store has released). A failed
-  // Insert/Erase self-heals: forcing the slot's staleness to the threshold
-  // makes the commit's trigger rebuild it over the live rows, restoring
-  // coherence without unwinding the committed dataset state.
-  auto maintain = [&](bool insert) {
-    if (quantized_) return;
-    for (Slot& slot : shard.slots) {
-      if (!slot.built || !slot.index->SupportsUpdates()) continue;
-      if (insert && slot.staleness >= slot.rebuild_threshold) continue;
-      const Status s =
-          insert ? slot.index->Insert(local) : slot.index->Erase(local);
-      if (!s.ok()) slot.staleness = slot.rebuild_threshold;
-    }
-  };
-  // A delete, or an upsert of a live id, erases first. The fused replace
-  // recycles the slot at once — the free list is LIFO, so the insert below
-  // lands on the same row — and no reader ever sees the id missing.
-  if (op == WalOp::kDelete ||
-      (local < shard.data->rows() && !shard.data->IsDeleted(local))) {
-    if (Status st = shard.store->EraseRow(local); !st.ok()) {
-      return diverged(st.ToString());
-    }
-    maintain(/*insert=*/false);
-    if (op == WalOp::kDelete) return Status::OK();
-  }
-  const uint32_t got = shard.store->InsertRow(vec, dim_);
-  if (got != local) {
-    return diverged("insert landed on local row " + std::to_string(got) +
-                    ", log recorded " + std::to_string(local));
-  }
-  maintain(/*insert=*/true);
-  return Status::OK();
-}
-
-uint64_t Collection::CommitLocked(size_t shard_index, uint64_t lsn) {
-  Shard& shard = *shards_[shard_index];
-  for (Slot& slot : shard.slots) {
-    // Updatable built slots absorbed the mutation structurally
-    // (ApplyLocked); everyone else just got staler. Under quantized
-    // storage every slot is static, so all of them age.
-    if (quantized_ || !(slot.built && slot.index->SupportsUpdates())) {
-      ++slot.staleness;
-    }
-  }
-  ++shard.version;
-  shard.approx_rows.store(shard.data->rows(), std::memory_order_relaxed);
-  shard.approx_free.store(shard.data->free_slots().size(),
-                          std::memory_order_relaxed);
-  if (lsn == 0) {
-    // A primary commit: exactly one epoch per committed mutation, build
-    // failures notwithstanding; the post-increment epoch is its LSN.
-    lsn = epoch_.fetch_add(1, std::memory_order_acq_rel) + 1;
-  } else {
-    // A replicated record keeps the primary's LSN; the epoch follows the
-    // highest one applied to any shard.
-    uint64_t cur = epoch_.load(std::memory_order_relaxed);
-    while (cur < lsn && !epoch_.compare_exchange_weak(
-                            cur, lsn, std::memory_order_acq_rel)) {
-    }
-  }
-  shard.applied_lsn = lsn;
-  return lsn;
-}
-
-Status Collection::WriteLocked(size_t shard_index, WalOp op,
-                               uint32_t global_id, const float* vec) {
-  DBLSH_RETURN_IF_ERROR(ApplyLocked(shard_index, op, global_id, vec));
-  const uint64_t lsn = CommitLocked(shard_index, 0);
-  Status logged = AppendWalLocked(shard_index, lsn, op, global_id, vec);
-
-  // SQ8 range retraining rides the inline threshold rebuild: when this
-  // mutation pushes a built slot to its rebuild threshold under quantized
-  // storage, re-derive the quantizer range from the current rows before
-  // the rebuild below, and log the retrain (same LSN as the mutation,
-  // ordered after it) so replay and replication reproduce the exact code
-  // bytes. Background rebuilds skip the retrain: their timing is
-  // nondeterministic, and replayability demands the log alone decide when
-  // codes change.
-  Shard& shard = *shards_[shard_index];
-  if (quantized_ && !background_rebuild_ &&
-      std::any_of(shard.slots.begin(), shard.slots.end(),
-                  [](const Slot& slot) {
-                    return slot.built &&
-                           slot.staleness >= slot.rebuild_threshold;
-                  }) &&
-      shard.store->RetrainQuantizer() && logged.ok()) {
-    logged = AppendWalLocked(shard_index, lsn, WalOp::kRetrain, 0, nullptr);
-  }
-  // The rebuild runs after any retrain so the new index is built over the
-  // re-encoded codes.
-  MaybeRebuildLocked(shard_index);
-  MaybeCompactLocked(shard_index);
-  return logged;
-}
-
-size_t Collection::PickInsertShard() const {
-  const size_t num_shards = shards_.size();
-  if (num_shards == 1) return 0;
-  // Advisory reads: a racing writer can skew the balance by a row, never
-  // the correctness (the chosen shard commits under its own lock).
-  for (size_t s = 0; s < num_shards; ++s) {
-    if (shards_[s]->approx_free.load(std::memory_order_relaxed) > 0) {
-      return s;  // recycle before growing any shard
-    }
-  }
-  size_t best = 0;
-  size_t best_rows = std::numeric_limits<size_t>::max();
-  for (size_t s = 0; s < num_shards; ++s) {
-    const size_t rows =
-        shards_[s]->approx_rows.load(std::memory_order_relaxed);
-    if (rows < best_rows) {
-      best_rows = rows;
-      best = s;
-    }
-  }
-  return best;
-}
-
-Result<uint32_t> Collection::Upsert(const float* vec, size_t len) {
-  if (read_only()) return Status::ReadOnly(read_only_message_);
-  if (len != dim_) {
-    return Status::InvalidArgument(
-        "Upsert: vector has dimension " + std::to_string(len) +
-        ", collection serves " + std::to_string(dim_));
-  }
-  const size_t shard_index = PickInsertShard();
-  Shard& shard = *shards_[shard_index];
-  std::unique_lock lock(shard.mutex);
-  // The row InsertRow hands out next: the most recently tombstoned slot
-  // (the free list is LIFO), else a fresh one past the end.
-  const std::vector<uint32_t>& free = shard.data->free_slots();
-  const uint32_t local = free.empty()
-                             ? static_cast<uint32_t>(shard.data->rows())
-                             : free.back();
-  const uint32_t global = GlobalId(shard_index, local);
-  DBLSH_RETURN_IF_ERROR(
-      WriteLocked(shard_index, WalOp::kUpsert, global, vec));
-  return global;
-}
-
-Result<uint32_t> Collection::Upsert(uint32_t id, const float* vec,
-                                    size_t len) {
-  if (read_only()) return Status::ReadOnly(read_only_message_);
-  if (len != dim_) {
-    return Status::InvalidArgument(
-        "Upsert: vector has dimension " + std::to_string(len) +
-        ", collection serves " + std::to_string(dim_));
-  }
-  const size_t shard_index = ShardOfId(id);
-  const uint32_t local = LocalOfId(id);
-  Shard& shard = *shards_[shard_index];
-  std::unique_lock lock(shard.mutex);
-  if (local >= shard.data->rows() || shard.data->IsDeleted(local)) {
-    return Status::NotFound("Upsert: id " + std::to_string(id) +
-                            " is not a live vector");
-  }
-  DBLSH_RETURN_IF_ERROR(WriteLocked(shard_index, WalOp::kUpsert, id, vec));
-  return id;
-}
-
-Status Collection::Delete(uint32_t id) {
-  if (read_only()) return Status::ReadOnly(read_only_message_);
-  const size_t shard_index = ShardOfId(id);
-  const uint32_t local = LocalOfId(id);
-  Shard& shard = *shards_[shard_index];
-  std::unique_lock lock(shard.mutex);
-  if (local >= shard.data->rows() || shard.data->IsDeleted(local)) {
-    return Status::NotFound("Delete: id " + std::to_string(id) +
-                            " is not a live vector");
-  }
-  return WriteLocked(shard_index, WalOp::kDelete, id, nullptr);
-}
-
-void Collection::SetReadOnly(const std::string& primary_hint) {
-  read_only_message_ = "read-only replica; writes go to " + primary_hint;
-  read_only_.store(true, std::memory_order_release);
-}
-
-Status Collection::ApplyReplicatedRecord(size_t shard_index,
-                                         const durability::WalRecord& rec) {
-  if (shard_index >= shards_.size()) {
-    return Status::InvalidArgument(
-        "replication: shard " + std::to_string(shard_index) +
-        " out of range (collection has " + std::to_string(shards_.size()) +
-        " shards)");
-  }
-  Shard& shard = *shards_[shard_index];
-  std::unique_lock lock(shard.mutex);
-  // A retrain record shares its triggering mutation's LSN (ordered after
-  // it), so at exactly the applied LSN a retrain must still apply — the
-  // feed redelivers it on resume, and re-applying one is a no-op.
-  const bool retrain_at_head = rec.op == WalOp::kRetrain &&
-                               rec.lsn == shard.applied_lsn;
-  if (rec.lsn <= shard.applied_lsn && !retrain_at_head) {
-    return Status::OK();  // duplicate delivery after a reconnect
-  }
-  size_t keep = 0;
-  if (durability::FailPoints::Instance().Hit(durability::kFailReplicationApply,
-                                             &keep)) {
-    return Status::IoError("replication: injected crash applying lsn " +
-                           std::to_string(rec.lsn));
-  }
-  if (rec.op == WalOp::kUpsert && rec.vec.size() != dim_) {
-    return Status::Corruption(
-        "replication: upsert payload has " + std::to_string(rec.vec.size()) +
-        " floats, collection serves " + std::to_string(dim_));
-  }
-  const Status applied = ApplyLocked(shard_index, rec.op, rec.id,
-                                     rec.vec.data());
-  // A trim moved the shard's frontier: replace its indexes in this same
-  // critical section, as the primary's compaction does — even after a
-  // divergence, since an index still referencing a trimmed row would read
-  // past the new frontier.
-  if (rec.op == WalOp::kTrim) ReindexTrimmedLocked(shard_index, {});
-  DBLSH_RETURN_IF_ERROR(applied);
-  CommitLocked(shard_index, rec.lsn);
-  // The follower's own WAL carries the primary's LSN, so a restart
-  // recovers locally and re-subscribes from exactly where it stopped.
-  const Status logged =
-      AppendWalLocked(shard_index, rec.lsn, rec.op, rec.id, rec.vec.data());
-  MaybeRebuildLocked(shard_index);
-  return logged;
-}
-
-int Collection::RouteLocked(const Shard& shard,
-                            const std::string& index_name,
-                            Status* why) const {
-  if (!index_name.empty()) {
-    for (size_t i = 0; i < shard.slots.size(); ++i) {
-      if (shard.slots[i].name != index_name) continue;
-      if (!shard.slots[i].built) {
-        *why = Status::InvalidArgument(
-            "collection index \"" + index_name +
-            "\" is not built yet (collection was empty when it was added)");
-        return -1;
-      }
-      return static_cast<int>(i);
-    }
-    *why = Status::NotFound("collection has no index named \"" + index_name +
-                            "\"");
-    return -1;
-  }
-  // Best-capable routing: the freshest built slot, insertion order as the
-  // tie-break (so callers list their preferred method first).
-  int best = -1;
-  for (size_t i = 0; i < shard.slots.size(); ++i) {
-    if (!shard.slots[i].built) continue;
-    if (best < 0 || shard.slots[i].staleness <
-                        shard.slots[static_cast<size_t>(best)].staleness) {
-      best = static_cast<int>(i);
-    }
-  }
-  if (best < 0) {
-    *why = Status::InvalidArgument(
-        shard.slots.empty() ? "collection has no indexes; AddIndex first"
-                            : "collection has no built index yet; Upsert "
-                              "data first");
-  }
-  return best;
-}
-
-const QueryRequest& Collection::ShardRequest(size_t shard_index,
-                                             const QueryRequest& request,
-                                             QueryRequest* local) const {
-  if (request.filter.empty() && !quantized_) return request;
-  // Only k and the filter change — keep the scalar overrides in sync with
-  // QueryRequest's field list. Truncating back to k per shard (re-rank)
-  // keeps the fan-out merge exact: the re-ranked list is the shard's true
-  // (store-exact) top-k.
-  local->k = quantized_ ? request.k * rerank_ : request.k;
-  local->candidate_budget = request.candidate_budget;
-  local->r0 = request.r0;
-  if (!request.filter.empty()) {
-    // The shard's index speaks local ids; the caller's filter, global ones.
-    const QueryFilter* global = &request.filter;  // outlives the search
-    local->filter = QueryFilter::Of([this, global, shard_index](uint32_t lid) {
-      return global->Admits(GlobalId(shard_index, lid));
-    });
-  }
-  return *local;
-}
-
-std::unique_lock<std::mutex> Collection::QueryLock(const Slot& slot) {
-  // Thread-compatible read path: readers of this slot serialize among
-  // themselves (writers are already excluded by the shard's shared lock).
-  if (slot.index->SupportsConcurrentQueries()) return {};
-  return std::unique_lock(*slot.query_mutex);
-}
-
-void Collection::SearchShard(size_t shard_index, const float* query,
-                             const QueryRequest& request,
-                             const std::string& index_name,
-                             ShardAnswer* out) const {
-  const Shard& shard = *shards_[shard_index];
-  std::shared_lock lock(shard.mutex);
-  const int route = RouteLocked(shard, index_name, &out->status);
-  if (route < 0) {
-    // Slot lists are identical across shards, but an empty shard's slots
-    // may still await their lazy first build: such a shard has nothing to
-    // contribute, so its error stands only if no shard can serve.
-    out->unroutable_empty = shard.data->live_rows() == 0;
-    return;
-  }
-  const Slot& slot = shard.slots[static_cast<size_t>(route)];
-  QueryRequest local;
-  {
-    const auto serialize = QueryLock(slot);
-    out->response =
-        slot.index->Search(query, ShardRequest(shard_index, request, &local));
-  }
-  if (quantized_) RerankLocked(shard, query, request.k, &out->response);
-}
-
-void Collection::RerankLocked(const Shard& shard, const float* query,
-                              size_t k, QueryResponse* response) const {
-  // Exact pass over the (inflated) candidate list: rescore with the raw
-  // fp32 query against each row's stored codes — no query-quantization
-  // error — then keep the best k under the same (dist, id) order the
-  // TopKHeap uses, so ties resolve identically to an exact index.
-  for (Neighbor& neighbor : response->neighbors) {
-    neighbor.dist = std::sqrt(
-        shard.store->ExactL2Squared(query, neighbor.id));
-  }
-  std::sort(response->neighbors.begin(), response->neighbors.end());
-  if (response->neighbors.size() > k) response->neighbors.resize(k);
-}
-
-Result<QueryResponse> Collection::MergeShardAnswers(
-    std::span<const ShardAnswer> answers, size_t k) const {
-  size_t unroutable = 0;
-  for (const ShardAnswer& answer : answers) {
-    if (answer.status.ok()) continue;
-    if (!answer.unroutable_empty) return answer.status;
-    ++unroutable;
-  }
-  if (unroutable == answers.size()) return answers[0].status;
-  QueryResponse merged;
-  TopKHeap heap(k);
-  for (size_t s = 0; s < answers.size(); ++s) {
-    const QueryResponse& response = answers[s].response;
-    for (const Neighbor& neighbor : response.neighbors) {
-      // Exact merge: within a shard, local id order equals global id
-      // order, so each shard's top-k (local tie-break) contains every
-      // global top-k member of that shard; pushing with global ids
-      // reproduces the single-shard (dist, id) tie-break exactly.
-      heap.Push(neighbor.dist, GlobalId(s, neighbor.id));
-    }
-    merged.stats.candidates_verified += response.stats.candidates_verified;
-    merged.stats.points_accessed += response.stats.points_accessed;
-    merged.stats.rounds += response.stats.rounds;
-    merged.stats.window_queries += response.stats.window_queries;
-  }
-  merged.neighbors = heap.TakeSorted();
-  return merged;
-}
-
-Result<QueryResponse> Collection::Search(const float* query,
-                                         const QueryRequest& request,
-                                         const std::string& index_name) const {
-  // One k-NN task per shard (ParallelFor runs a single one inline on the
-  // caller), merged exactly.
-  std::vector<ShardAnswer> answers(shards_.size());
-  executor_->ParallelFor(answers.size(), [&](size_t s) {
-    SearchShard(s, query, request, index_name, &answers[s]);
-  });
-  return MergeShardAnswers(answers, request.k);
-}
-
-Result<std::vector<QueryResponse>> Collection::SearchBatch(
-    const FloatMatrix& queries, const QueryRequest& request,
-    const std::string& index_name, size_t num_threads) const {
-  if (!queries.empty() && queries.cols() != dim_) {
-    return Status::InvalidArgument(
-        "SearchBatch: queries have dimension " +
-        std::to_string(queries.cols()) + ", collection serves " +
-        std::to_string(dim_));
-  }
-  const size_t num_shards = shards_.size();
-  if (num_shards == 1) {
-    // One shard: the index's own QueryBatch keeps per-worker query scratch
-    // and takes a thread-compatible slot's query lock once per batch.
-    const Shard& shard = *shards_[0];
-    std::shared_lock lock(shard.mutex);
-    Status why = Status::OK();
-    const int route = RouteLocked(shard, index_name, &why);
-    if (route < 0) return why;
-    const Slot& slot = shard.slots[static_cast<size_t>(route)];
-    QueryRequest local;
-    std::vector<QueryResponse> responses;
-    {
-      const auto serialize = QueryLock(slot);
-      responses = slot.index->QueryBatch(
-          queries, ShardRequest(0, request, &local), num_threads);
-    }
-    if (quantized_) {
-      for (size_t q = 0; q < responses.size(); ++q) {
-        RerankLocked(shard, queries.row(q), request.k, &responses[q]);
-      }
-    }
-    return responses;
-  }
-
-  const size_t q_count = queries.rows();
-  if (q_count == 0) return std::vector<QueryResponse>{};
-  if (num_threads == 0) num_threads = exec::HardwareConcurrency();
-  // Grid fan-out: every (query, shard) cell is an independent task, so a
-  // slow shard never stalls the other shards' progress on later queries.
-  std::vector<ShardAnswer> cells(q_count * num_shards);
-  executor_->ParallelFor(
-      cells.size(),
-      [&](size_t cell) {
-        SearchShard(cell % num_shards, queries.row(cell / num_shards),
-                    request, index_name, &cells[cell]);
-      },
-      num_threads);
-  std::vector<QueryResponse> out;
-  out.reserve(q_count);
-  const std::span<const ShardAnswer> grid(cells);
-  for (size_t q = 0; q < q_count; ++q) {
-    auto merged =
-        MergeShardAnswers(grid.subspan(q * num_shards, num_shards), request.k);
-    if (!merged.ok()) return merged.status();
-    out.push_back(std::move(merged).value());
-  }
-  return out;
-}
-
-Status Collection::InitDurability(const CollectionOptions& options) {
-  DBLSH_RETURN_IF_ERROR(durability::EnsureDir(options.durability_dir));
-  durability_ = std::make_unique<DurabilityState>();
-  durability_->dir = options.durability_dir;
-  durability_->compact_threshold = options.compact_threshold;
-  durability_->wal_sync_every = options.wal_sync;
-  durability_->wals.resize(shards_.size());
-  // The initial checkpoint persists the seed rows and publishes the
-  // manifest; its WAL rotation installs the writers every commit needs.
-  return Checkpoint();
-}
-
-Status Collection::RecoverShards(const CollectionOptions& options,
-                                 const durability::Manifest& manifest) {
-  const auto t0 = std::chrono::steady_clock::now();
-  durability_ = std::make_unique<DurabilityState>();
-  durability_->dir = options.durability_dir;
-  durability_->compact_threshold = options.compact_threshold;
-  durability_->wal_sync_every = options.wal_sync;
-  durability_->wals.resize(shards_.size());
-
-  uint64_t max_lsn = manifest.checkpoint_lsn;
-  uint64_t max_seq = manifest.wal_seq;
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    Shard& shard = *shards_[s];
-    auto snap_or = durability::LoadShardSnapshot(
-        durability::SnapshotPath(durability_->dir, s));
-    if (!snap_or.ok()) {
-      if (snap_or.status().code() == StatusCode::kNotFound) {
-        return Status::Corruption(
-            "durability: manifest present but shard " + std::to_string(s) +
-            " snapshot is missing in " + durability_->dir);
-      }
-      return snap_or.status();
-    }
-    durability::ShardSnapshot snap = std::move(snap_or).value();
-    if (snap.store.kind != manifest.storage) {
-      return Status::Corruption(
-          "durability: shard " + std::to_string(s) + " snapshot holds " +
-          StorageKindName(static_cast<StorageKind>(snap.store.kind)) +
-          " storage but the manifest says " +
-          StorageKindName(static_cast<StorageKind>(manifest.storage)));
-    }
-    if (snap.store.dim != dim_) {
-      return Status::Corruption(
-          "durability: shard " + std::to_string(s) + " snapshot dim " +
-          std::to_string(snap.store.dim) + " does not match manifest dim " +
-          std::to_string(dim_));
-    }
-
-    // Adopt the store image verbatim (byte-identical, never re-encoded).
-    // The decoder replays the free-list in erasure order, so InsertRow
-    // recycling during WAL replay reproduces the original LIFO id
-    // assignment exactly.
-    util::PodReader body(snap.body.data(), snap.body.size());
-    auto store = DecodeVectorStore(snap.store, &body);
-    if (!store.ok()) {
-      return Status::Corruption("durability: shard " + std::to_string(s) +
-                                " snapshot: " + store.status().message());
-    }
-    if (body.remaining() != 0) {
-      return Status::Corruption("durability: shard " + std::to_string(s) +
-                                " snapshot: body size mismatch");
-    }
-    // Same kind and dim, so equal row widths mean equal layouts (for pq,
-    // the same m as the spec's store).
-    if (store.value()->bytes_per_vector() !=
-        shard.store->bytes_per_vector()) {
-      return Status::Corruption(
-          "durability: shard " + std::to_string(s) + " snapshot stores " +
-          std::to_string(store.value()->bytes_per_vector()) +
-          " bytes per vector but the spec's " + shard.store->kind_name() +
-          " store uses " + std::to_string(shard.store->bytes_per_vector()) +
-          " (reopen with the storage options the collection was created "
-          "with)");
-    }
-    shard.store = std::move(store).value();
-    shard.data = &shard.store->matrix();
-    max_lsn = std::max(max_lsn, snap.lsn);
-    shard.applied_lsn = snap.lsn;
-
-    // Replay the log: every segment at/after the manifest's generation,
-    // ascending, skipping records the snapshot already covers.
-    const std::vector<uint64_t> seqs =
-        durability::ListWalSegments(durability_->dir, s);
-    for (size_t i = 0; i < seqs.size(); ++i) {
-      if (!seqs.empty()) max_seq = std::max(max_seq, seqs[i]);
-      if (seqs[i] < manifest.wal_seq) continue;  // superseded, not yet GC'd
-      const bool last = i + 1 == seqs.size();
-      auto replay_or = durability::ReadWal(
-          durability::WalPath(durability_->dir, s, seqs[i]),
-          static_cast<uint32_t>(dim_));
-      if (!replay_or.ok()) {
-        // A torn *header* can only be the newest segment, killed during
-        // checkpoint rotation before any record (or acknowledgement)
-        // existed — skip it. Anywhere else it is real damage.
-        if (last && replay_or.status().code() == StatusCode::kCorruption) {
-          continue;
-        }
-        return replay_or.status();
-      }
-      const durability::WalReplay& replay = replay_or.value();
-      if (!replay.tail.ok() && !last) {
-        return replay.tail;  // torn tail mid-history: not a crash artifact
-      }
-      for (const durability::WalRecord& rec : replay.records) {
-        if (rec.lsn <= snap.lsn) continue;
-        max_lsn = std::max(max_lsn, rec.lsn);
-        shard.applied_lsn = std::max(shard.applied_lsn, rec.lsn);
-        ++durability_->replayed;
-        DBLSH_RETURN_IF_ERROR(ApplyLocked(s, rec.op, rec.id, rec.vec.data()));
-      }
-    }
-    shard.approx_rows.store(shard.data->rows(), std::memory_order_relaxed);
-    shard.approx_free.store(shard.data->free_slots().size(),
-                            std::memory_order_relaxed);
-  }
-  epoch_.store(max_lsn, std::memory_order_release);
-  // Start the new generation past every segment on disk — including
-  // orphans a crashed rotation left above the manifest's generation.
-  durability_->wal_seq = max_seq;
-  const auto t1 = std::chrono::steady_clock::now();
-  durability_->recovery_ms =
-      std::chrono::duration<double, std::milli>(t1 - t0).count();
-  // Checkpoint-on-open: rotates onto fresh segments (installing the WAL
-  // writers), folds the replay into new snapshots, and garbage-collects
-  // torn tails with the superseded segments.
-  return Checkpoint();
-}
-
-Status Collection::Checkpoint() {
-  if (durability_ == nullptr) {
-    return Status::InvalidArgument(
-        "collection has no durability= configured; nothing to checkpoint");
-  }
-  DurabilityState& d = *durability_;
-  std::lock_guard ckpt_lock(d.checkpoint_mutex);
-  const uint64_t new_seq = d.wal_seq + 1;
-
-  std::vector<durability::ShardSnapshot> snaps(shards_.size());
-  uint64_t checkpoint_lsn = 0;
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    Shard& shard = *shards_[s];
-    // Open the replacement segment before taking the lock (file creation
-    // off the writer's critical path). On failure the old segment stays
-    // live; the orphan file is skipped at recovery (header checks) and
-    // its sequence number is never reused (max-seq scan on open).
-    auto writer_or = durability::WalWriter::Create(
-        durability::WalPath(d.dir, s, new_seq), static_cast<uint32_t>(dim_),
-        d.wal_sync_every);
-    if (!writer_or.ok()) return writer_or.status();
-
-    std::unique_lock lock(shard.mutex);
-    durability::ShardSnapshot& snap = snaps[s];
-    snap.store = shard.store->header();
-    shard.store->Encode(&snap.body);
-    // Captured under the shard write lock: every record this shard wrote
-    // to the outgoing segment has lsn <= this value, and every record it
-    // will write to the incoming one has lsn > it — the replay filter's
-    // exact contract. The *shard's* applied LSN (not the global epoch):
-    // on a follower the per-shard streams progress independently, so a
-    // sibling shard's higher LSN must not mask this shard's undelivered
-    // records.
-    snap.lsn = shard.applied_lsn;
-    d.wals[s] = std::move(writer_or).value();
-    checkpoint_lsn = std::max(checkpoint_lsn, snap.lsn);
-  }
-
-  // Persist off-lock: writers append to the new segments meanwhile, and a
-  // crash anywhere in here recovers from the old manifest + old segments
-  // (still on disk) plus the new ones (>= old wal_seq, replayed too).
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    DBLSH_RETURN_IF_ERROR(durability::SaveShardSnapshot(
-        durability::SnapshotPath(d.dir, s), snaps[s]));
-  }
-  durability::Manifest manifest;
-  manifest.shards = static_cast<uint32_t>(shards_.size());
-  manifest.dim = static_cast<uint32_t>(dim_);
-  manifest.storage = static_cast<uint32_t>(storage_);
-  manifest.wal_seq = new_seq;
-  manifest.checkpoint_lsn = checkpoint_lsn;
-  DBLSH_RETURN_IF_ERROR(durability::SaveManifest(d.dir, manifest));
-
-  // Committed (manifest renamed): the superseded segments are garbage —
-  // except those a replication pin still needs (a subscribed follower may
-  // be mid-way through an older generation).
-  uint64_t gc_before = new_seq;
-  for (const auto& [pin, floor] : d.wal_pins) {
-    gc_before = std::min(gc_before, floor);
-  }
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    for (const uint64_t seq : durability::ListWalSegments(d.dir, s)) {
-      if (seq < gc_before) {
-        std::remove(durability::WalPath(d.dir, s, seq).c_str());
-      }
-    }
-  }
-  d.wal_seq = new_seq;
-  d.checkpoints.fetch_add(1, std::memory_order_relaxed);
-  return Status::OK();
-}
-
-Status Collection::AppendWalLocked(size_t shard_index, uint64_t lsn,
-                                   durability::WalOp op, uint32_t id,
-                                   const float* vec) {
-  if (durability_ == nullptr) return Status::OK();
-  durability::WalWriter* writer = durability_->wals[shard_index].get();
-  if (writer == nullptr) {
-    return Status::IoError(
-        "wal: no live segment for shard " + std::to_string(shard_index) +
-        " (a failed checkpoint rotation poisoned this collection)");
-  }
-  // Log-after-apply is sound because disk state only changes at
-  // checkpoints: a record that fails to land is simply never replayed, and
-  // the poisoned writer keeps every *later* mutation unlogged too, so the
-  // durable history stays a prefix of the acknowledged one.
-  Status logged = writer->Append(lsn, op, id, vec);
-  if (logged.ok()) {
-    durability_->wal_appends.fetch_add(1, std::memory_order_relaxed);
-  }
-  return logged;
-}
-
-CollectionDurabilityInfo Collection::Durability() const {
-  CollectionDurabilityInfo info;
-  if (durability_ == nullptr) return info;
-  info.enabled = true;
-  info.dir = durability_->dir;
-  info.compact_threshold = durability_->compact_threshold;
-  info.checkpoints =
-      durability_->checkpoints.load(std::memory_order_relaxed);
-  info.compactions =
-      durability_->compactions.load(std::memory_order_relaxed);
-  info.wal_appends =
-      durability_->wal_appends.load(std::memory_order_relaxed);
-  info.replayed_records = durability_->replayed;
-  info.recovery_ms = durability_->recovery_ms;
-  return info;
-}
-
-std::vector<uint64_t> Collection::ShardAppliedLsns() const {
-  std::vector<uint64_t> out(shards_.size(), 0);
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    std::shared_lock lock(shards_[s]->mutex);
-    out[s] = shards_[s]->applied_lsn;
-  }
-  return out;
-}
-
-uint64_t Collection::AcquireWalPin(uint64_t min_seq) {
-  if (durability_ == nullptr) return 0;
-  std::lock_guard lock(durability_->checkpoint_mutex);
-  const uint64_t pin = durability_->next_pin++;
-  durability_->wal_pins[pin] = min_seq;
-  return pin;
-}
-
-void Collection::UpdateWalPin(uint64_t pin, uint64_t min_seq) {
-  if (durability_ == nullptr || pin == 0) return;
-  std::lock_guard lock(durability_->checkpoint_mutex);
-  auto it = durability_->wal_pins.find(pin);
-  if (it != durability_->wal_pins.end()) it->second = min_seq;
-}
-
-void Collection::ReleaseWalPin(uint64_t pin) {
-  if (durability_ == nullptr || pin == 0) return;
-  std::lock_guard lock(durability_->checkpoint_mutex);
-  durability_->wal_pins.erase(pin);
-}
-
-void Collection::MaybeRebuildLocked(size_t shard_index) {
-  Shard& shard = *shards_[shard_index];
-  // Quantized storage: the first inline build of this pass materializes a
-  // decoded fp32 view, every later build in the pass reuses it, and the
-  // optional's destructor releases it on exit (no-op construction when no
-  // slot builds).
-  std::optional<ScopedDecodeView> view;
-  for (size_t i = 0; i < shard.slots.size(); ++i) {
-    Slot& slot = shard.slots[i];
-    const bool lazy_first_build = !slot.built && shard.data->live_rows() > 0;
-    const bool threshold_hit =
-        slot.built && slot.staleness >= slot.rebuild_threshold;
-    if (!lazy_first_build && !threshold_hit) continue;
-    if (background_rebuild_ && threshold_hit && !slot.method_spec.empty()) {
-      // Offload: the writer keeps going; the executor snapshots, builds
-      // and lands the replacement later (RunBackground). Lazy first builds
-      // stay inline — there is no old index to keep serving — and so does
-      // a prebuilt slot: without a factory recipe it can only rebuild its
-      // own instance, under the lock.
-      ScheduleLocked(shard_index, i);
-      continue;
-    }
-    InstallLocked(shard, slot, nullptr, &view);
-  }
-}
-
-void Collection::MaybeCompactLocked(size_t shard_index) {
-  if (durability_ == nullptr || durability_->compact_threshold <= 0.0) return;
-  Shard& shard = *shards_[shard_index];
-  const size_t rows = shard.data->rows();
-  if (rows == 0) return;
-  const size_t dead = rows - shard.data->live_rows();
-  if (dead <= shard.compact_floor) return;  // nothing new to reclaim
-  if (static_cast<double>(dead) / static_cast<double>(rows) <
-      durability_->compact_threshold) {
-    return;
-  }
-  ScheduleLocked(shard_index, kCompaction);
-}
-
-void Collection::ScheduleLocked(size_t shard_index, size_t target) {
-  Shard& shard = *shards_[shard_index];
-  bool& scheduled = target == kCompaction
-                        ? shard.compact_scheduled
-                        : shard.slots[target].rebuild_scheduled;
-  if (scheduled) return;
-  {
-    std::lock_guard lock(bg_mutex_);
-    // A mutation racing the destructor is a caller bug; stay safe.
-    if (closing_) return;
-    ++bg_inflight_;
-  }
-  scheduled = true;
-  executor_->Schedule([this, shard_index, target] {
-    RunBackground(shard_index, target);
-    // Decrement and notify under the lock: the destructor may tear the
-    // collection down the instant it observes bg_inflight_ == 0, and it
-    // can only observe that after this critical section fully releases —
-    // a notify outside the lock would race it into use-after-free.
-    std::lock_guard lock(bg_mutex_);
-    --bg_inflight_;
-    bg_cv_.notify_all();
-  });
-}
-
-void Collection::RunBackground(size_t shard_index, size_t target) {
-  Shard& shard = *shards_[shard_index];
-  const bool compaction = target == kCompaction;
-
-  // 1. Snapshot under the shared lock: readers keep serving, and the
-  //    writer is excluded only for a copy (under quantized storage, the
-  //    store's decoded fp32 reconstruction).
-  FloatMatrix snapshot;
-  uint64_t version = 0;
-  std::vector<std::string> recipes;  // one per rebuilt slot, in slot order
-  {
-    std::shared_lock lock(shard.mutex);
-    snapshot = shard.store->DecodedCopy();
-    version = shard.version;
-    for (size_t i = 0; i < shard.slots.size(); ++i) {
-      if (compaction || i == target) {
-        recipes.push_back(shard.slots[i].method_spec);
-      }
-    }
-  }
-
-  // 2. Off every lock — the expensive part the writer no longer pays for.
-  //    A compaction first trims the copy: only trailing tombstones are
-  //    physically reclaimable (live ids never move), and with none, or no
-  //    live row left to index, there is nothing to build. A slot without a
-  //    recipe gets no replacement and rebuilds in place when it lands.
-  const size_t trimmed = compaction ? snapshot.TrimTombstonedTail() : 0;
-  const bool build = !compaction || (trimmed > 0 && snapshot.live_rows() > 0);
-  std::vector<std::unique_ptr<AnnIndex>> replacements(recipes.size());
-  Status built = Status::OK();
-  size_t failed = target;
-  for (size_t i = 0; build && built.ok() && i < recipes.size(); ++i) {
-    if (recipes[i].empty()) continue;
-    auto made = IndexFactory::Make(recipes[i]);
-    built = made.ok() ? made.value()->Build(&snapshot) : made.status();
-    if (built.ok()) {
-      replacements[i] = std::move(made).value();
-    } else if (compaction) {
-      failed = i;
-    }
-  }
-
-  // 3. Land under the write lock, but only over the rows the snapshot
-  //    captured.
-  std::unique_lock lock(shard.mutex);
-  const bool moved = shard.version != version;
-  bool compacted = false;
-  if (!moved && !built.ok()) {
-    // The old index — stale but tombstone-coherent — keeps serving (and a
-    // compaction leaves the shard uncompacted); a later trigger retries.
-    shard.slots[failed].build_error = built.ToString();
-  } else if (!moved && !compaction) {
-    std::optional<ScopedDecodeView> view;
-    InstallLocked(shard, shard.slots[target], std::move(replacements[0]),
-                  &view);
-  } else if (!moved) {
-    if (trimmed > 0) {
-      // Same version, same rows: the live trim removes exactly the rows
-      // the snapshot's did.
-      const Status trim = ApplyLocked(shard_index, WalOp::kTrim,
-                                      static_cast<uint32_t>(trimmed), nullptr);
-      assert(trim.ok());
-      (void)trim;
-      // Log the rewrite so mutations recorded after it replay against the
-      // compacted geometry (see WalOp::kTrim). A failed append poisons the
-      // writer: the in-memory trim stands, but nothing later is acked, so
-      // the durable history stays consistent without it. The commit's
-      // version bump also invalidates any background rebuild racing us:
-      // its snapshot predates the trim.
-      const uint64_t lsn = CommitLocked(shard_index, 0);
-      (void)AppendWalLocked(shard_index, lsn, WalOp::kTrim,
-                            static_cast<uint32_t>(trimmed), nullptr);
-      ReindexTrimmedLocked(shard_index, std::move(replacements));
-      compacted = true;
-    }
-    // The dead rows left are interior ones this task examined: the trigger
-    // stays quiet until more deletes land, instead of rescheduling forever.
-    shard.compact_floor = shard.data->rows() - shard.data->live_rows();
-  }
-
-  // The single exit. While set, the scheduled flag suppressed the trigger
-  // checks of the commits that moved the shard past the snapshot; run that
-  // check now, so a task that lost its race re-schedules if still due.
-  // Only a commit moves the version, so a steady writer cannot make the
-  // task spin: every retry follows at least one commit.
-  (compaction ? shard.compact_scheduled
-              : shard.slots[target].rebuild_scheduled) = false;
-  if (moved && compaction) MaybeCompactLocked(shard_index);
-  if (moved && !compaction) MaybeRebuildLocked(shard_index);
-  lock.unlock();
-  if (compacted) {
-    durability_->compactions.fetch_add(1, std::memory_order_relaxed);
-    // Fold the rewrite into fresh snapshots; best-effort (the trim record
-    // keeps replay correct even if this checkpoint never lands).
-    (void)Checkpoint();
-  }
-}
-
-void Collection::InstallLocked(Shard& shard, Slot& slot,
-                               std::unique_ptr<AnnIndex> replacement,
-                               std::optional<ScopedDecodeView>* view) {
-  if (replacement != nullptr && replacement->RebindData(shard.data).ok()) {
-    // The version check proved the live matrix equal to the snapshot the
-    // replacement was built over: repointing its reads is the whole swap.
-    slot.index = std::move(replacement);
-  } else {
-    // In place — an inline build, a slot without a factory recipe, or an
-    // index type without rebind support: rebuild the slot's own instance
-    // under the lock (correct, just blocking). Quantized stores need the
-    // decoded view for the duration of the build.
-    if (!view->has_value()) view->emplace(shard.store.get());
-    if (Status s = slot.index->Build(shard.data); !s.ok()) {
-      // A failed in-place build leaves the slot out of service but the
-      // collection consistent: mark it unbuilt so routing skips it, record
-      // the error for Indexes(), and retry at a later trigger. The
-      // mutation that got us here stays committed.
-      slot.built = false;
-      slot.build_error = s.ToString();
-      return;
-    }
-  }
-  if (slot.built) ++slot.rebuilds;  // lazy first builds are not rebuilds
-  slot.built = true;
-  slot.staleness = 0;
-  slot.build_error.clear();
-}
-
-void Collection::ReindexTrimmedLocked(
-    size_t shard_index, std::vector<std::unique_ptr<AnnIndex>> replacements) {
-  Shard& shard = *shards_[shard_index];
-  std::optional<ScopedDecodeView> view;
-  for (size_t i = 0; i < shard.slots.size(); ++i) {
-    Slot& slot = shard.slots[i];
-    if (shard.data->live_rows() == 0) {
-      slot.built = false;  // lazy build at the next mutation
-      slot.staleness = 0;
-      continue;
-    }
-    std::unique_ptr<AnnIndex> replacement =
-        i < replacements.size() ? std::move(replacements[i]) : nullptr;
-    if (replacement != nullptr || slot.built) {
-      InstallLocked(shard, slot, std::move(replacement), &view);
-    }
-  }
-}
-
-void Collection::WaitForRebuilds() const {
-  for (;;) {
-    {
-      std::unique_lock lock(bg_mutex_);
-      if (bg_cv_.wait_for(lock, std::chrono::milliseconds(1),
-                          [&] { return bg_inflight_ == 0; })) {
-        return;
-      }
-    }
-    // Lend this thread to the executor so a narrow pool cannot starve the
-    // very task being awaited (the caller holds no collection locks here).
-    executor_->RunOnePendingTask();
-  }
 }
 
 }  // namespace dblsh

@@ -25,7 +25,7 @@ namespace durability {
 struct Manifest;  // durability/snapshot.h
 }  // namespace durability
 
-struct DurabilityState;  // core/collection.cc
+struct DurabilityState;  // core/collection_internal.h
 
 /// Writer-priority shared mutex for a shard's single-writer / multi-reader
 /// discipline. std::shared_mutex is reader-preferring on glibc: a
@@ -763,7 +763,8 @@ class Collection {
   std::string read_only_message_;
 
   /// Durability runtime state (WAL writers, checkpoint bookkeeping,
-  /// counters); nullptr when durability is off. See collection.cc.
+  /// counters); nullptr when durability is off. See
+  /// core/collection_internal.h.
   std::unique_ptr<DurabilityState> durability_;
 
   // Background-task bookkeeping (rebuilds and compactions): count of
