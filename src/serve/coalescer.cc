@@ -208,24 +208,26 @@ void Coalescer::DispatchBatch(Collection* collection, Batch batch) {
 
 void Coalescer::ExecuteBatch(Collection* collection, Batch batch) {
   // Deadline gate: expired entries complete with the typed rejection and
-  // never touch the index; their batch peers execute normally.
+  // never touch the index; their batch peers execute normally. They are
+  // counted before any is answered, so a client that has its rejection
+  // already sees it in Stats.
   const Clock::time_point now = Clock::now();
   std::vector<Pending> live;
+  std::vector<Pending> expired;
   live.reserve(batch.entries.size());
-  uint64_t expired = 0;
   for (Pending& entry : batch.entries) {
-    if (entry.deadline <= now) {
-      ++expired;
+    (entry.deadline <= now ? expired : live).push_back(std::move(entry));
+  }
+  if (!expired.empty()) {
+    {
+      std::lock_guard lock(mutex_);
+      stats_.rejected_deadline += expired.size();
+    }
+    for (Pending& entry : expired) {
       entry.callback(
           Status::DeadlineExceeded("deadline expired before execution"),
           QueryResponse{}, 0);
-    } else {
-      live.push_back(std::move(entry));
     }
-  }
-  if (expired > 0) {
-    std::lock_guard lock(mutex_);
-    stats_.rejected_deadline += expired;
   }
   if (live.empty()) {
     FinishQueries(batch.entries.size());
