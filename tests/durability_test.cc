@@ -634,6 +634,55 @@ TEST_F(DurabilityOpenTest, TornWalTailOnLiveSegmentIsRecoveredFrom) {
   EXPECT_EQ(DigestOf(*reopened.value()), digest);
 }
 
+// Mutations after the checkpoint-on-open live only in the WAL; a reopen
+// must restore the snapshot, replay exactly that tail onto it (and count
+// it), and serve the same answers as before the close.
+TEST_F(DurabilityOpenTest, ReopenReplaysTheWalTailOntoTheCheckpoint) {
+  TempDir dir("open_replay");
+  const std::string spec = DurableSpec(dir.path(), ",shards=2");
+  constexpr size_t kSeed = 200, kDim = 8, kUpserts = 12;
+  const std::vector<uint32_t> deleted = {3, 17, 42, 99, 150};
+  FloatMatrix data =
+      GenerateClustered({.n = kSeed, .dim = kDim, .clusters = 4});
+  const FloatMatrix queries = data.Prefix(6);
+  auto made = Collection::FromSpec(
+      spec, std::make_unique<FloatMatrix>(std::move(data)));
+  ASSERT_TRUE(made.ok()) << made.status().ToString();
+  Rng rng(77);
+  for (size_t i = 0; i < kUpserts; ++i) {
+    const auto vec = MakeVec(kDim, &rng);
+    ASSERT_TRUE(made.value()->Upsert(vec.data(), vec.size()).ok());
+  }
+  for (uint32_t id : deleted) ASSERT_TRUE(made.value()->Delete(id).ok());
+
+  QueryRequest request;
+  request.k = 5;
+  auto before = made.value()->SearchBatch(queries, request);
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+  const uint64_t digest = DigestOf(*made.value());
+  made.value().reset();  // no checkpoint since open: the tail is WAL-only
+
+  auto reopened = Collection::Open(spec);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  const CollectionDurabilityInfo info = reopened.value()->Durability();
+  EXPECT_EQ(info.replayed_records, kUpserts + deleted.size());
+  EXPECT_GT(info.recovery_ms, 0.0);
+  EXPECT_EQ(reopened.value()->size(), kSeed + kUpserts - deleted.size());
+  EXPECT_EQ(DigestOf(*reopened.value()), digest);
+
+  auto after = reopened.value()->SearchBatch(queries, request);
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  auto ids_of = [](const QueryResponse& response) {
+    std::vector<uint32_t> ids;
+    for (const Neighbor& nb : response.neighbors) ids.push_back(nb.id);
+    return ids;
+  };
+  for (size_t q = 0; q < queries.rows(); ++q) {
+    EXPECT_EQ(ids_of(after.value()[q]), ids_of(before.value()[q]))
+        << "query " << q;
+  }
+}
+
 // ------------------------------------------------------- compaction -------
 
 using CompactTest = DurabilityTest;

@@ -10,6 +10,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -45,9 +46,11 @@ FloatMatrix SmallData(size_t n = 200, size_t dim = 8) {
   return GenerateClustered({.n = n, .dim = dim, .clusters = 5, .seed = 99});
 }
 
-std::unique_ptr<Collection> SmallCollection(size_t n = 200, size_t dim = 8) {
+// `storage` is a collection-spec suffix such as ",storage=sq8".
+std::unique_ptr<Collection> SmallCollection(size_t n = 200, size_t dim = 8,
+                                            const std::string& storage = "") {
   auto made = Collection::FromSpec(
-      "collection: LinearScan",
+      "collection" + storage + ": LinearScan",
       std::make_unique<FloatMatrix>(SmallData(n, dim)));
   EXPECT_TRUE(made.ok()) << made.status().ToString();
   return std::move(made).value();
@@ -435,9 +438,11 @@ TEST_F(CoalescerTest, DestructorDrainsHeldQueries) {
 
 class ServeServerTest : public ::testing::Test {
  protected:
-  void StartServer(ServerOptions options = {}) {
+  void StartServer(ServerOptions options = {},
+                   const std::string& storage = "") {
+    server_.reset();  // stop any old server before its collection goes
     data_ = SmallData();
-    collection_ = SmallCollection();
+    collection_ = SmallCollection(data_.rows(), data_.cols(), storage);
     options.max_connections =
         options.max_connections == 32 ? 4 : options.max_connections;
     auto started =
@@ -479,51 +484,67 @@ TEST_F(ServeServerTest, PingAndSearchRoundTrip) {
   EXPECT_GT(reply.value().response.stats.candidates_verified, 0u);
 }
 
+// Runs once per storage backend: the quantized read path (asymmetric
+// scan + re-rank) must serve over the wire exactly as it does in process,
+// and Stats must report the backend the collection actually holds.
 TEST_F(ServeServerTest, SearchBatchUpsertDeleteStatsRoundTrip) {
-  StartServer();
-  auto client = MakeClient();
+  for (const std::string storage :
+       {"", ",storage=sq8", ",storage=pq,m=4"}) {
+    SCOPED_TRACE("storage suffix '" + storage + "'");
+    StartServer({}, storage);
+    auto client = MakeClient();
 
-  FloatMatrix queries(3, collection_->dim());
-  for (size_t i = 0; i < 3; ++i) {
-    const auto q = Query(i);
-    std::copy(q.begin(), q.end(), queries.mutable_row(i));
+    FloatMatrix queries(3, collection_->dim());
+    for (size_t i = 0; i < 3; ++i) {
+      const auto q = Query(i);
+      std::copy(q.begin(), q.end(), queries.mutable_row(i));
+    }
+    auto batch = client->SearchBatch("main", queries, TopK(4));
+    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+    ASSERT_EQ(batch.value().size(), 3u);
+    auto direct = collection_->SearchBatch(queries, TopK(4));
+    ASSERT_TRUE(direct.ok());
+    for (size_t i = 0; i < 3; ++i) {
+      EXPECT_TRUE(SameIds(batch.value()[i].neighbors,
+                          direct.value()[i].neighbors));
+    }
+
+    // Upsert an outlier, find it, replace it under its id, then delete it.
+    const std::vector<float> outlier(collection_->dim(), 500.f);
+    auto id = client->Upsert("main", outlier.data(), outlier.size());
+    ASSERT_TRUE(id.ok()) << id.status().ToString();
+    auto found =
+        client->Search("main", outlier.data(), outlier.size(), TopK(1));
+    ASSERT_TRUE(found.ok());
+    ASSERT_EQ(found.value().response.neighbors.size(), 1u);
+    EXPECT_EQ(found.value().response.neighbors[0].id, id.value());
+
+    auto replaced =
+        client->Upsert("main", id.value(), outlier.data(), outlier.size());
+    ASSERT_TRUE(replaced.ok());
+    EXPECT_EQ(replaced.value(), id.value());
+    ASSERT_TRUE(client->Delete("main", id.value()).ok());
+    EXPECT_EQ(client->Delete("main", id.value()).code(),
+              StatusCode::kNotFound);
+
+    auto stats = client->Stats();
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    ASSERT_EQ(stats.value().collections.size(), 1u);
+    const RemoteCollectionStats& remote = stats.value().collections[0];
+    EXPECT_EQ(remote.name, "main");
+    EXPECT_EQ(remote.live_vectors, collection_->size());
+    const CollectionStorageInfo local = collection_->Storage();
+    EXPECT_EQ(remote.storage, local.kind);
+    EXPECT_EQ(remote.bytes_per_vector, local.bytes_per_vector);
+    EXPECT_EQ(remote.rerank, local.rerank);
+    EXPECT_EQ(remote.resident_bytes, local.resident_bytes);
+    if (!storage.empty()) {
+      EXPECT_GE(remote.rerank, 1u);
+    }
+    EXPECT_EQ(stats.value().server.upserts, 2u);
+    EXPECT_EQ(stats.value().server.deletes, 2u);
+    EXPECT_GE(stats.value().server.searches, 4u);
   }
-  auto batch = client->SearchBatch("main", queries, TopK(4));
-  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
-  ASSERT_EQ(batch.value().size(), 3u);
-  auto direct = collection_->SearchBatch(queries, TopK(4));
-  ASSERT_TRUE(direct.ok());
-  for (size_t i = 0; i < 3; ++i) {
-    EXPECT_TRUE(SameIds(batch.value()[i].neighbors,
-                        direct.value()[i].neighbors));
-  }
-
-  // Upsert an outlier, find it, replace it under its id, then delete it.
-  const std::vector<float> outlier(collection_->dim(), 500.f);
-  auto id = client->Upsert("main", outlier.data(), outlier.size());
-  ASSERT_TRUE(id.ok()) << id.status().ToString();
-  auto found =
-      client->Search("main", outlier.data(), outlier.size(), TopK(1));
-  ASSERT_TRUE(found.ok());
-  ASSERT_EQ(found.value().response.neighbors.size(), 1u);
-  EXPECT_EQ(found.value().response.neighbors[0].id, id.value());
-
-  auto replaced =
-      client->Upsert("main", id.value(), outlier.data(), outlier.size());
-  ASSERT_TRUE(replaced.ok());
-  EXPECT_EQ(replaced.value(), id.value());
-  ASSERT_TRUE(client->Delete("main", id.value()).ok());
-  EXPECT_EQ(client->Delete("main", id.value()).code(),
-            StatusCode::kNotFound);
-
-  auto stats = client->Stats();
-  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  ASSERT_EQ(stats.value().collections.size(), 1u);
-  EXPECT_EQ(stats.value().collections[0].name, "main");
-  EXPECT_EQ(stats.value().collections[0].live_vectors, collection_->size());
-  EXPECT_EQ(stats.value().server.upserts, 2u);
-  EXPECT_EQ(stats.value().server.deletes, 2u);
-  EXPECT_GE(stats.value().server.searches, 4u);
 }
 
 TEST_F(ServeServerTest, UnknownCollectionAndDimMismatchAreTyped) {
@@ -562,6 +583,42 @@ TEST_F(ServeServerTest, PipelinedSearchesCoalesceIntoBatches) {
   EXPECT_GE(max_batch, 2u);
   const ServerStats stats = server_->Stats();
   EXPECT_GE(stats.max_batch_size, 2u);
+  EXPECT_GE(stats.mean_batch_size, 2.0);
+}
+
+// The serving acceptance bar under real concurrency: 8 connections, each
+// a closed loop of blocking Search round-trips, must share batches. Each
+// client runs on its own executor task (no raw threads in tests).
+TEST_F(ServeServerTest, ConcurrentClosedLoopClientsCoalesce) {
+  constexpr size_t kClients = 8;
+  constexpr size_t kSearchesPerClient = 8;
+  ServerOptions options;
+  options.max_connections = kClients;
+  options.coalescer.window_us = 50000;  // generous window on a 1-CPU box
+  StartServer(options);
+
+  exec::TaskExecutor clients(kClients);
+  std::vector<std::future<void>> loops;
+  for (size_t c = 0; c < kClients; ++c) {
+    loops.push_back(clients.Submit([this, c] {
+      auto client = MakeClient();
+      ASSERT_NE(client, nullptr);
+      for (size_t i = 0; i < kSearchesPerClient; ++i) {
+        const auto q = Query(c * kSearchesPerClient + i);
+        auto reply = client->Search("main", q.data(), q.size(), TopK(5));
+        ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+        auto direct = collection_->Search(q.data(), TopK(5));
+        ASSERT_TRUE(direct.ok());
+        EXPECT_TRUE(SameIds(reply.value().response.neighbors,
+                            direct.value().neighbors))
+            << "client " << c << " search " << i;
+      }
+    }));
+  }
+  for (auto& loop : loops) loop.get();
+
+  const ServerStats stats = server_->Stats();
+  EXPECT_EQ(stats.searches, kClients * kSearchesPerClient);
   EXPECT_GE(stats.mean_batch_size, 2.0);
 }
 

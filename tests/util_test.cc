@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "util/distance.h"
+#include "util/perfmon.h"
 #include "util/random.h"
 #include "util/status.h"
 #include "util/timer.h"
@@ -502,6 +503,15 @@ TEST(TimerTest, MeasuresElapsedTime) {
   (void)sink;
   EXPECT_GT(t.ElapsedSec(), 0.0);
   EXPECT_GT(t.ElapsedMs(), t.ElapsedSec());  // ms numerically larger
+}
+
+// --------------------------------------------------------------- Perfmon --
+
+TEST(PerfmonTest, SampleMemoryReportsResidentAndPeak) {
+  const perfmon::MemoryUsage usage = perfmon::SampleMemory();
+  EXPECT_GT(usage.resident_bytes, 0u);
+  EXPECT_GT(usage.peak_resident_bytes, 0u);
+  EXPECT_GE(usage.peak_resident_bytes, usage.resident_bytes);
 }
 
 }  // namespace
