@@ -1,10 +1,7 @@
 #include "bench/common.h"
 
-#include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <stdexcept>
 
 namespace dblsh::bench {
@@ -55,136 +52,6 @@ eval::Workload ProfileWorkload(const std::string& name, double scale,
 void PrintBanner(const std::string& experiment, const std::string& claim) {
   std::printf("=== %s ===\n", experiment.c_str());
   std::printf("Paper reference: %s\n\n", claim.c_str());
-}
-
-double Percentile(std::vector<double>* samples, double p) {
-  if (samples == nullptr || samples->empty()) return 0.0;
-  std::sort(samples->begin(), samples->end());
-  const double clamped = std::max(0.0, std::min(100.0, p));
-  const size_t rank = static_cast<size_t>(
-      std::ceil(clamped / 100.0 * static_cast<double>(samples->size())));
-  return (*samples)[rank == 0 ? 0 : rank - 1];
-}
-
-Json Json::Object() {
-  Json j;
-  j.kind_ = Kind::kObject;
-  return j;
-}
-
-Json Json::Array() {
-  Json j;
-  j.kind_ = Kind::kArray;
-  return j;
-}
-
-Json::Json(double v) : kind_(Kind::kNumber), number_(v) {}
-Json::Json(int v) : Json(static_cast<int64_t>(v)) {}
-Json::Json(int64_t v)
-    : kind_(Kind::kNumber), number_(static_cast<double>(v)),
-      integral_(true) {}
-Json::Json(size_t v)
-    : kind_(Kind::kNumber), number_(static_cast<double>(v)),
-      integral_(true) {}
-Json::Json(bool v) : kind_(Kind::kBool), bool_(v) {}
-Json::Json(const char* v) : kind_(Kind::kString), string_(v) {}
-Json::Json(std::string v) : kind_(Kind::kString), string_(std::move(v)) {}
-
-Json& Json::Set(const std::string& key, Json value) {
-  kind_ = Kind::kObject;  // tolerate Set on a default-constructed value
-  members_.emplace_back(key, std::move(value));
-  return *this;
-}
-
-Json& Json::Append(Json value) {
-  kind_ = Kind::kArray;
-  elements_.push_back(std::move(value));
-  return *this;
-}
-
-namespace {
-
-void AppendEscaped(const std::string& s, std::string* out) {
-  out->push_back('"');
-  for (const char c : s) {
-    switch (c) {
-      case '"': *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      case '\n': *out += "\\n"; break;
-      case '\t': *out += "\\t"; break;
-      default: out->push_back(c);
-    }
-  }
-  out->push_back('"');
-}
-
-}  // namespace
-
-std::string Json::Dump(int indent) const {
-  const std::string pad(static_cast<size_t>(indent), ' ');
-  const std::string inner_pad(static_cast<size_t>(indent) + 2, ' ');
-  std::string out;
-  switch (kind_) {
-    case Kind::kNull:
-      return "null";
-    case Kind::kBool:
-      return bool_ ? "true" : "false";
-    case Kind::kNumber: {
-      char buf[64];
-      if (integral_) {
-        std::snprintf(buf, sizeof(buf), "%.0f", number_);
-      } else if (std::isfinite(number_)) {
-        std::snprintf(buf, sizeof(buf), "%g", number_);
-      } else {
-        return "null";  // JSON has no inf/nan
-      }
-      return buf;
-    }
-    case Kind::kString:
-      AppendEscaped(string_, &out);
-      return out;
-    case Kind::kObject: {
-      if (members_.empty()) return "{}";
-      out = "{\n";
-      for (size_t i = 0; i < members_.size(); ++i) {
-        out += inner_pad;
-        AppendEscaped(members_[i].first, &out);
-        out += ": ";
-        out += members_[i].second.Dump(indent + 2);
-        if (i + 1 < members_.size()) out += ",";
-        out += "\n";
-      }
-      out += pad + "}";
-      return out;
-    }
-    case Kind::kArray: {
-      if (elements_.empty()) return "[]";
-      out = "[\n";
-      for (size_t i = 0; i < elements_.size(); ++i) {
-        out += inner_pad + elements_[i].Dump(indent + 2);
-        if (i + 1 < elements_.size()) out += ",";
-        out += "\n";
-      }
-      out += pad + "]";
-      return out;
-    }
-  }
-  return "null";  // unreachable
-}
-
-bool Json::WriteTo(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return false;
-  }
-  out << Dump() << "\n";
-  if (!out.good()) {
-    std::fprintf(stderr, "short write to %s\n", path.c_str());
-    return false;
-  }
-  std::printf("wrote %s\n", path.c_str());
-  return true;
 }
 
 }  // namespace dblsh::bench

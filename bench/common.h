@@ -3,10 +3,7 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "dataset/synthetic.h"
 #include "eval/runner.h"
@@ -37,61 +34,6 @@ eval::Workload ProfileWorkload(const std::string& name, double scale,
 /// Prints the standard bench banner (what the binary reproduces and the
 /// paper-reported reference shape).
 void PrintBanner(const std::string& experiment, const std::string& claim);
-
-/// The p-th percentile (p in [0, 100]) of `samples` by nearest-rank;
-/// sorts the vector in place. Returns 0 for an empty sample set.
-double Percentile(std::vector<double>* samples, double p);
-
-/// Minimal JSON document builder for the machine-readable bench outputs
-/// (BENCH_*.json): objects, arrays, numbers, strings, booleans. Enough to
-/// make the perf trajectory trackable across PRs without a dependency.
-///
-///   Json root = Json::Object();
-///   root.Set("qps", 12345.6).Set("bench", "serving");
-///   Json cells = Json::Array();
-///   cells.Append(Json::Object().Set("readers", 4).Set("p99_ms", 0.8));
-///   root.Set("cells", std::move(cells));
-///   root.WriteTo("BENCH_serving.json");
-class Json {
- public:
-  /// A null value; use the factories below for containers.
-  Json() = default;
-  static Json Object();
-  static Json Array();
-
-  /// Scalar constructors (implicit, so Set/Append take them directly).
-  Json(double v);              // NOLINT(google-explicit-constructor)
-  Json(int v);                 // NOLINT(google-explicit-constructor)
-  Json(int64_t v);             // NOLINT(google-explicit-constructor)
-  Json(size_t v);              // NOLINT(google-explicit-constructor)
-  Json(bool v);                // NOLINT(google-explicit-constructor)
-  Json(const char* v);         // NOLINT(google-explicit-constructor)
-  Json(std::string v);         // NOLINT(google-explicit-constructor)
-
-  /// Sets `key` on an object; returns *this for chaining.
-  Json& Set(const std::string& key, Json value);
-
-  /// Appends to an array; returns *this for chaining.
-  Json& Append(Json value);
-
-  /// Serializes with 2-space indentation.
-  std::string Dump(int indent = 0) const;
-
-  /// Writes Dump() to `path` (trailing newline included); prints the
-  /// destination on success. Returns false (with a stderr note) on I/O
-  /// failure.
-  bool WriteTo(const std::string& path) const;
-
- private:
-  enum class Kind { kNull, kObject, kArray, kNumber, kBool, kString };
-  Kind kind_ = Kind::kNull;
-  double number_ = 0.0;
-  bool bool_ = false;
-  bool integral_ = false;  ///< print number_ without a decimal point
-  std::string string_;
-  std::vector<std::pair<std::string, Json>> members_;  // kObject
-  std::vector<Json> elements_;                         // kArray
-};
 
 }  // namespace dblsh::bench
 

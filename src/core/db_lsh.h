@@ -46,7 +46,7 @@ struct DbLshParams {
   size_t k = 0;      ///< hash functions per projected space; 0 = auto
   size_t l = 5;      ///< number of projected spaces (R*-trees)
   /// Candidate budget constant of Remark 2: a (c,k)-ANN query verifies at
-  /// most 2tL + k candidates. 0 = auto (scales as max(64, n/100) / (2L)).
+  /// most 2tL + k candidates. 0 = auto: max(8, max(192, 4√n) / (2L)).
   size_t t = 0;
   /// Starting search radius r for the (r,c)-NN cascade; 0 = auto-estimated
   /// from a sample of nearest-neighbor distances so early rounds are not

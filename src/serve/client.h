@@ -41,7 +41,7 @@ struct RemoteCollectionStats {
   uint64_t live_vectors = 0;
   uint64_t epoch = 0;
   uint32_t shards = 0;
-  std::string storage;           ///< storage backend ("fp32" | "sq8")
+  std::string storage;           ///< storage backend ("fp32" | "sq8" | "pq")
   uint64_t bytes_per_vector = 0; ///< payload bytes per vector slot
   uint64_t resident_bytes = 0;   ///< store heap bytes, summed over shards
   uint32_t rerank = 0;           ///< re-rank multiplier (0 when fp32)

@@ -8,8 +8,7 @@ namespace dblsh {
 namespace perfmon {
 
 /// Process memory snapshot in bytes. Zeroes (not errors) when the platform
-/// has no /proc — the bench JSON then reports 0 and the diff tooling skips
-/// the memory bands.
+/// has no /proc; callers report 0 rather than fail.
 struct MemoryUsage {
   size_t resident_bytes = 0;  ///< current RSS
   size_t peak_resident_bytes = 0;  ///< high-water RSS since process start
@@ -22,8 +21,8 @@ constexpr size_t kPageSize() { return 4096; }
 
 /// Samples the calling process's resident set from /proc/self/statm
 /// (current) and /proc/self/status VmHWM (peak). Linux-only by design —
-/// the benches that report memory run on the Linux CI; elsewhere this
-/// degrades to zeroes instead of adding a dependency.
+/// perfbench and dblsh_tool, which report memory, run on Linux; elsewhere
+/// this degrades to zeroes instead of adding a dependency.
 inline MemoryUsage SampleMemory() {
   MemoryUsage usage;
   if (std::FILE* statm = std::fopen("/proc/self/statm", "r")) {
