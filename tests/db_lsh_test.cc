@@ -2,12 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "baselines/fb_lsh.h"
 #include "core/db_lsh.h"
 #include "dataset/ground_truth.h"
 #include "dataset/synthetic.h"
 #include "eval/metrics.h"
+#include "simd/simd.h"
+#include "util/bytes.h"
 #include "util/random.h"
 
 namespace dblsh {
@@ -317,6 +321,92 @@ TEST(DbLshBuildTest, HighDimensionalData) {
   const auto result = index.Query(data.row(1), 5);
   ASSERT_FALSE(result.empty());
   EXPECT_FLOAT_EQ(result[0].dist, 0.f);
+}
+
+// ------------------------------------------------------ Candidate stream --
+
+// Pins the exact candidate stream: every id the index hands to
+// verification, in arrival order (seen through a pass-through filter),
+// plus the QueryStats counts, folded into one FNV-1a digest over ~50
+// queries. Any change to the R*-tree's node layout that keeps its
+// algorithms and its child/entry order must reproduce these constants.
+// Scalar kernels make the projections, and so the digest, independent of
+// the host's SIMD tier.
+class CandidateStreamTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    ASSERT_TRUE(simd::ForceKernel(simd::KernelKind::kScalar).ok());
+  }
+  void TearDown() override { simd::UseAutoKernel(); }
+
+  static FloatMatrix Data() { return EasyData(2000, 24, 61); }
+
+  static uint64_t Digest(const DbLsh& index, const FloatMatrix& data) {
+    std::vector<uint64_t> words;
+    for (uint32_t q = 0; q < 50; ++q) {
+      const uint32_t row = (q * 37 + 11) % 2000;
+      std::vector<float> query(data.row(row), data.row(row) + data.cols());
+      query[q % data.cols()] += 0.5f;  // off-grid: not an indexed point
+      QueryRequest request;
+      request.k = 10;
+      std::vector<uint32_t> ids;
+      request.filter = QueryFilter::Of([&ids](uint32_t id) {
+        ids.push_back(id);
+        return true;
+      });
+      const QueryResponse response = index.Search(query.data(), request);
+      words.insert(words.end(), ids.begin(), ids.end());
+      words.push_back(response.stats.candidates_verified);
+      words.push_back(response.stats.points_accessed);
+      words.push_back(response.stats.rounds);
+      words.push_back(response.stats.window_queries);
+      for (const Neighbor& n : response.neighbors) words.push_back(n.id);
+    }
+    return util::Fnv1a64(util::BytesOf(words));
+  }
+};
+
+TEST_F(CandidateStreamTest, BulkLoaded) {
+  const FloatMatrix data = Data();
+  DbLsh index;
+  ASSERT_TRUE(index.Build(&data).ok());
+  EXPECT_EQ(Digest(index, data), 0x34692661d286be5full);
+}
+
+TEST_F(CandidateStreamTest, InsertBuilt) {
+  const FloatMatrix data = Data();
+  DbLshParams params;
+  params.bulk_load = false;  // R* insertion: splits and forced reinserts
+  DbLsh index(params);
+  ASSERT_TRUE(index.Build(&data).ok());
+  EXPECT_EQ(Digest(index, data), 0xadea5f6fd5abd101ull);
+}
+
+TEST_F(CandidateStreamTest, BulkLoadedThenMutated) {
+  FloatMatrix data = Data();
+  DbLsh index;
+  ASSERT_TRUE(index.Build(&data).ok());
+  // ~100 erases (condense + orphan reinsertion), then ~100 inserts: the
+  // first ones recycle the erased slots, the rest append.
+  for (uint32_t i = 0; i < 100; ++i) {
+    const uint32_t id = (i * 53 + 7) % 2000;
+    if (data.IsDeleted(id)) continue;
+    ASSERT_TRUE(data.EraseRow(id).ok());
+    ASSERT_TRUE(index.Erase(id).ok()) << id;
+  }
+  Rng rng(62);
+  std::vector<float> v(data.cols());
+  for (int i = 0; i < 120; ++i) {
+    const uint32_t source = static_cast<uint32_t>(rng.UniformInt(2000));
+    for (size_t j = 0; j < v.size(); ++j) {
+      v[j] = data.IsDeleted(source)
+                 ? static_cast<float>(rng.Uniform(0, 100))
+                 : data.row(source)[j] + static_cast<float>(rng.Gaussian());
+    }
+    const uint32_t id = data.InsertRow(v.data(), v.size());
+    ASSERT_TRUE(index.Insert(id).ok()) << id;
+  }
+  EXPECT_EQ(Digest(index, data), 0xcf0fc371cc5ebb7full);
 }
 
 }  // namespace
