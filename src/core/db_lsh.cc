@@ -63,21 +63,24 @@ Status DbLsh::Build(const FloatMatrix* data) {
   bank_ = std::make_unique<lsh::ProjectionBank>(params_.l * params_.k,
                                                 data->cols(), params_.seed);
 
-  // Project the dataset once and slice into the L K-dimensional spaces.
-  projected_.clear();
-  projected_.reserve(params_.l);
+  // Project the dataset in one pass over the rows into the L K-dimensional
+  // spaces.
+  const size_t k = params_.k;
+  std::vector<FloatMatrix> spaces;
+  spaces.reserve(params_.l);
+  for (size_t i = 0; i < params_.l; ++i) spaces.emplace_back(n, k);
   {
-    FloatMatrix all = bank_->ProjectDataset(*data);
-    for (size_t i = 0; i < params_.l; ++i) {
-      FloatMatrix space(n, params_.k);
-      for (size_t row = 0; row < n; ++row) {
-        const float* src = all.row(row) + i * params_.k;
-        std::copy_n(src, params_.k, space.mutable_row(row));
+    std::vector<float> proj(params_.l * k);
+    for (size_t row = 0; row < n; ++row) {
+      bank_->ProjectAll(data->row(row), proj.data());
+      for (size_t i = 0; i < params_.l; ++i) {
+        std::copy_n(proj.data() + i * k, k, spaces[i].mutable_row(row));
       }
-      projected_.push_back(std::move(space));
     }
   }
 
+  indexed_rows_ = n;
+  projected_.clear();
   trees_.clear();
   kd_trees_.clear();
   if (params_.backend == IndexBackend::kRStarTree) {
@@ -93,21 +96,23 @@ Status DbLsh::Build(const FloatMatrix* data) {
     }
     trees_.reserve(params_.l);
     for (size_t i = 0; i < params_.l; ++i) {
-      trees_.emplace_back(&projected_[i], params_.rtree_options);
+      rtree::RStarTree& tree = trees_.emplace_back(k, params_.rtree_options);
       if (params_.bulk_load) {
         if (data->has_tombstones()) {
-          DBLSH_RETURN_IF_ERROR(trees_.back().BulkLoad(live));
+          DBLSH_RETURN_IF_ERROR(tree.BulkLoad(spaces[i], live));
         } else {
-          DBLSH_RETURN_IF_ERROR(trees_.back().BulkLoadAll());
+          DBLSH_RETURN_IF_ERROR(tree.BulkLoadAll(spaces[i]));
         }
       } else {
         for (uint32_t id = 0; id < n; ++id) {
           if (data->IsDeleted(id)) continue;
-          DBLSH_RETURN_IF_ERROR(trees_.back().Insert(id));
+          DBLSH_RETURN_IF_ERROR(tree.Insert(id, spaces[i].row(id)));
         }
       }
+      spaces[i] = FloatMatrix();  // the tree holds its own copy
     }
   } else {
+    projected_ = std::move(spaces);
     kd_trees_.reserve(params_.l);
     for (size_t i = 0; i < params_.l; ++i) {
       kd_trees_.push_back(std::make_unique<kdtree::KdTree>(&projected_[i]));
@@ -343,26 +348,26 @@ Status DbLsh::Insert(uint32_t id) {
         "): not a live row of the backing dataset (insert the vector with "
         "FloatMatrix::InsertRow first)");
   }
-  if (id > projected_[0].rows()) {
+  if (id > indexed_rows_) {
     return Status::InvalidArgument(
         "Insert(" + std::to_string(id) +
         "): appended ids must arrive densely (next expected id is " +
-        std::to_string(projected_[0].rows()) + ")");
+        std::to_string(indexed_rows_) + ")");
+  }
+  // Checked before any tree changes, so a rejected insert changes none.
+  if (std::any_of(trees_.begin(), trees_.end(), [id](const auto& tree) {
+        return tree.Point(id) != nullptr;
+      })) {
+    return Status::InvalidArgument("Insert(" + std::to_string(id) +
+                                   "): already indexed (Erase it first)");
   }
   std::vector<float> proj(params_.l * params_.k);
   bank_->ProjectAll(data_->row(id), proj.data());
   for (size_t i = 0; i < params_.l; ++i) {
-    FloatMatrix& space = projected_[i];
-    const float* src = proj.data() + i * params_.k;
-    if (id == space.rows()) {
-      space.AppendRow(src, params_.k);
-    } else {
-      // Recycled slot: the caller Erase()d it from the trees earlier, so
-      // overwriting the projected row cannot invalidate any stored entry.
-      std::copy_n(src, params_.k, space.mutable_row(id));
-    }
-    DBLSH_RETURN_IF_ERROR(trees_[i].Insert(id));
+    DBLSH_RETURN_IF_ERROR(
+        trees_[i].Insert(id, proj.data() + i * params_.k));
   }
+  if (id == indexed_rows_) ++indexed_rows_;
   return Status::OK();
 }
 

@@ -132,7 +132,9 @@ class DbLsh : public AnnIndex {
   /// deletion-with-reinsertion), false for the static kd-tree backend.
   bool SupportsUpdates() const override;
   /// Projects row `id` into the L spaces and R*-inserts it into each tree.
-  /// See AnnIndex::Insert for the dataset-first update protocol.
+  /// See AnnIndex::Insert for the dataset-first update protocol. An id
+  /// that is already indexed is rejected with InvalidArgument before any
+  /// tree changes (Erase it first).
   Status Insert(uint32_t id) override;
   /// Removes `id` from all L trees (condense + orphan reinsertion). Call
   /// before the slot is recycled by FloatMatrix::InsertRow.
@@ -155,10 +157,12 @@ class DbLsh : public AnnIndex {
   /// points, and the dataset's tombstone set) to `path` in format version
   /// 4. The backing dataset itself is NOT stored — pass the same data to
   /// Load(); a checksum over its raw bytes is stored so a mismatched
-  /// dataset is rejected rather than silently served. Trees are rebuilt by
-  /// bulk loading on load, which is fast and keeps the file format simple
-  /// and portable. Appended rows round-trip naturally (they are ordinary
-  /// rows of the projected matrices by save time).
+  /// dataset is rejected rather than silently served. Each projected space
+  /// is written as a row-per-id matrix: the R*-tree backend exports it from
+  /// its trees (RStarTree::Point), writing zeros for ids not in the index,
+  /// which Load never reads; the kd-tree backend writes its matrices. Trees
+  /// are rebuilt by bulk loading on load, which is fast and keeps the file
+  /// format simple and portable. Appended rows round-trip naturally.
   ///
   /// Storage backends: when the dataset is managed by a VectorStore
   /// (FloatMatrix::store()), the file records the backend tag and the
@@ -242,13 +246,20 @@ class DbLsh : public AnnIndex {
   DbLshParams params_;
   const FloatMatrix* data_ = nullptr;
   std::unique_ptr<lsh::ProjectionBank> bank_;  // l*k functions
-  std::vector<FloatMatrix> projected_;         // l matrices of n x k
+  /// The kKdTree backend's l projected spaces (n x k each), which the
+  /// kd-trees read in place. Empty for the kRStarTree backend, whose trees
+  /// own their points.
+  std::vector<FloatMatrix> projected_;
   std::vector<rtree::RStarTree> trees_;        // kRStarTree backend
   std::vector<std::unique_ptr<kdtree::KdTree>> kd_trees_;  // kKdTree backend
   /// Random per-function grid offsets (the `b` of Eq. 1), used only by the
   /// FB-LSH fixed-grid mode so cell boundaries are unbiased.
   std::vector<float> grid_offsets_;
   double auto_r0_ = 1.0;
+  /// Row ids the index has seen: the rows it was built or loaded over plus
+  /// appended ones. The next appended id must equal it; Save writes this
+  /// many rows per projected space.
+  size_t indexed_rows_ = 0;
 };
 
 /// Applies spec keys (c, w0, k, l, t, r0, early_stop_slack, seed,

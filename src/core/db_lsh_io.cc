@@ -8,16 +8,19 @@
 //   u8 backend | f64 auto_r0 | f64 early_stop_slack
 //   directions matrix (u64 rows, u64 cols, floats)
 //   grid offsets (u64 count, floats)
-//   l projected matrices (u64 rows, u64 cols, floats each)
+//   l projected matrices (u64 rows, u64 cols, floats each; row id holds
+//   the projection of id — exported from the R*-trees, with zeros for ids
+//   not in the index)
 //   tombstones: u64 count | u32 ids in erasure order (the free-list stack)
 // Version 3 files are identical minus the pq storage variant; version 2
 // files additionally lack the storage tag (implicitly fp32). Both still
 // load. Loading reads the whole file and parses it with util::PodReader,
 // so every length is checked against the bytes present before anything
 // is allocated.
-// The R*-trees are rebuilt by STR bulk loading at load time: they are a
-// deterministic function of the projected matrices, bulk loading is fast
-// (the paper's own construction path), and the file stays portable.
+// The R*-trees are rebuilt by STR bulk loading at load time, each from its
+// projected matrix, which is then dropped (the tree owns its points): they
+// are a deterministic function of the projected matrices, bulk loading is
+// fast (the paper's own construction path), and the file stays portable.
 // The checksum pins the index to the exact dataset bytes it was saved
 // over: it covers the store's payload (VectorStore::payload — the raw
 // float rows for fp32, the u8 codes for sq8/pq, whose fp32 payload is
@@ -45,6 +48,20 @@ void WriteMatrix(std::vector<uint8_t>* out, const FloatMatrix& m) {
   util::AppendPod<uint64_t>(out, m.rows());
   util::AppendPod<uint64_t>(out, m.cols());
   util::AppendBytes(out, util::BytesOf(m.data()));
+}
+
+/// Writes a tree's points in WriteMatrix's layout: row `id` holds the
+/// coordinates the tree stores for `id`, or zeros when it holds none.
+void WriteTreePoints(std::vector<uint8_t>* out, const rtree::RStarTree& tree,
+                     size_t rows) {
+  util::AppendPod<uint64_t>(out, rows);
+  util::AppendPod<uint64_t>(out, tree.dim());
+  const std::vector<float> zeros(tree.dim(), 0.f);
+  for (size_t id = 0; id < rows; ++id) {
+    const float* point = tree.Point(static_cast<uint32_t>(id));
+    util::AppendBytes(out, point != nullptr ? point : zeros.data(),
+                      tree.dim() * sizeof(float));
+  }
 }
 
 Result<FloatMatrix> ReadMatrix(util::PodReader* in, const std::string& what) {
@@ -175,6 +192,9 @@ Status DbLsh::Save(const std::string& path) const {
   WriteMatrix(&out, bank_->directions());
   util::AppendPod<uint64_t>(&out, grid_offsets_.size());
   util::AppendBytes(&out, util::BytesOf(grid_offsets_));
+  for (const rtree::RStarTree& tree : trees_) {
+    WriteTreePoints(&out, tree, indexed_rows_);
+  }
   for (const FloatMatrix& space : projected_) WriteMatrix(&out, space);
   util::AppendPod<uint64_t>(&out, data_->free_slots().size());
   util::AppendBytes(&out, util::BytesOf(data_->free_slots()));
@@ -234,14 +254,16 @@ Result<DbLsh> DbLsh::LoadIndexBody(util::PodReader* in,
   index.bank_ =
       std::make_unique<lsh::ProjectionBank>(std::move(directions).value());
   index.grid_offsets_ = std::move(grid_offsets);
-  index.projected_.reserve(params.l);
+  index.indexed_rows_ = n;
+  std::vector<FloatMatrix> spaces;
+  spaces.reserve(params.l);
   for (size_t i = 0; i < params.l; ++i) {
     auto space = ReadMatrix(in, "projected space");
     if (!space.ok()) return space.status();
     if (space.value().rows() != n || space.value().cols() != params.k) {
       return Status::Corruption(path + ": projected space shape mismatch");
     }
-    index.projected_.push_back(std::move(space).value());
+    spaces.push_back(std::move(space).value());
   }
   uint64_t tombstone_count = 0;
   std::vector<uint32_t> tombstones;
@@ -269,10 +291,13 @@ Result<DbLsh> DbLsh::LoadIndexBody(util::PodReader* in,
     }
     index.trees_.reserve(params.l);
     for (size_t i = 0; i < params.l; ++i) {
-      index.trees_.emplace_back(&index.projected_[i], params.rtree_options);
-      DBLSH_RETURN_IF_ERROR(index.trees_.back().BulkLoad(live));
+      DBLSH_RETURN_IF_ERROR(
+          index.trees_.emplace_back(params.k, params.rtree_options)
+              .BulkLoad(spaces[i], live));
+      spaces[i] = FloatMatrix();  // the tree holds its own copy
     }
   } else {
+    index.projected_ = std::move(spaces);
     index.kd_trees_.reserve(params.l);
     for (size_t i = 0; i < params.l; ++i) {
       index.kd_trees_.push_back(

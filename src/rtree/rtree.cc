@@ -6,70 +6,169 @@
 #include <limits>
 #include <numeric>
 #include <string>
+#include <utility>
 
 namespace dblsh::rtree {
 
-/// Tree node. Leaves (level 0) hold point ids; internal nodes hold children.
-/// Every node caches its MBR; an internal entry's rect is its child's MBR.
-struct RStarTree::Node {
-  size_t level = 0;
-  Rect mbr;
-  std::vector<uint32_t> ids;      // leaf payload
-  std::vector<Node*> children;    // internal payload
+namespace {
 
-  bool is_leaf() const { return level == 0; }
-  size_t count() const { return is_leaf() ? ids.size() : children.size(); }
-};
-
-RStarTree::RStarTree(const FloatMatrix* points, RTreeOptions options)
-    : points_(points), options_(options) {
-  assert(points_ != nullptr);
-  assert(options_.max_entries >= 4);
+/// Grows `v` by `n` elements. Capacity grows by an eighth instead of
+/// doubling, so the first split after an exactly-sized bulk load does not
+/// double the arena.
+template <typename T>
+void GrowBy(std::vector<T>* v, size_t n, T value) {
+  if (v->size() + n > v->capacity()) {
+    v->reserve(v->size() + std::max(n, v->size() / 8));
+  }
+  v->resize(v->size() + n, value);
 }
 
-RStarTree::~RStarTree() { FreeTree(root_); }
+}  // namespace
+
+// ---------------------------------------------------------------------------
+// Node arena
+// ---------------------------------------------------------------------------
+
+uint32_t RStarTree::Pool::Allocate(uint32_t node_level) {
+  uint32_t block;
+  if (!free_blocks.empty()) {
+    block = free_blocks.back();
+    free_blocks.pop_back();
+  } else {
+    block = static_cast<uint32_t>(count.size());
+    GrowBy(&count, 1, 0u);
+    GrowBy(&level, 1, 0u);
+    GrowBy(&parent, 1, kNoNode);
+    GrowBy(&refs, slots, 0u);
+    GrowBy(&values, slots * width, 0.f);
+  }
+  count[block] = 0;
+  level[block] = node_level;
+  parent[block] = kNoNode;
+  return block;
+}
+
+void RStarTree::Pool::Release(uint32_t block) {
+  count[block] = 0;
+  free_blocks.push_back(block);
+}
+
+RStarTree::RStarTree(size_t dim, RTreeOptions options)
+    : dim_(dim), options_(options), root_box_(dim) {
+  assert(dim_ > 0);
+  assert(options_.max_entries >= 4);
+  leaves_.slots = inner_.slots = options_.max_entries + 1;
+  leaves_.width = dim_;
+  inner_.width = 2 * dim_;
+}
 
 RStarTree::RStarTree(RStarTree&& other) noexcept
-    : points_(other.points_),
+    : dim_(other.dim_),
       options_(other.options_),
-      root_(other.root_),
-      size_(other.size_) {
-  other.root_ = nullptr;
-  other.size_ = 0;
-}
+      leaves_(std::move(other.leaves_)),
+      inner_(std::move(other.inner_)),
+      root_(std::exchange(other.root_, kNoNode)),
+      root_box_(std::move(other.root_box_)),
+      locator_(std::move(other.locator_)),
+      size_(std::exchange(other.size_, 0)) {}
 
 RStarTree& RStarTree::operator=(RStarTree&& other) noexcept {
   if (this != &other) {
-    FreeTree(root_);
-    points_ = other.points_;
+    dim_ = other.dim_;
     options_ = other.options_;
-    root_ = other.root_;
-    size_ = other.size_;
-    other.root_ = nullptr;
-    other.size_ = 0;
+    leaves_ = std::move(other.leaves_);
+    inner_ = std::move(other.inner_);
+    root_ = std::exchange(other.root_, kNoNode);
+    root_box_ = std::move(other.root_box_);
+    locator_ = std::move(other.locator_);
+    size_ = std::exchange(other.size_, 0);
   }
   return *this;
 }
 
-void RStarTree::FreeTree(Node* node) {
-  if (node == nullptr) return;
-  for (Node* child : node->children) FreeTree(child);
-  delete node;
+void RStarTree::Clear() { *this = RStarTree(dim_, options_); }
+
+RStarTree::NodeRef RStarTree::NewNode(size_t level) {
+  if (level == 0) return leaves_.Allocate(0);
+  return inner_.Allocate(static_cast<uint32_t>(level)) | kInner;
 }
 
-Rect RStarTree::EntryRect(const Node* node, size_t idx) const {
-  if (node->is_leaf()) {
-    return Rect(points_->row(node->ids[idx]), points_->cols());
+void RStarTree::FreeNode(NodeRef n) { PoolOf(n).Release(BlockOf(n)); }
+
+void RStarTree::AppendEntry(NodeRef n, uint32_t ref, const float* lo,
+                            const float* hi) {
+  Pool& pool = PoolOf(n);
+  const uint32_t b = BlockOf(n);
+  const uint32_t slot = pool.count[b]++;
+  assert(slot < pool.slots);
+  pool.Refs(b)[slot] = ref;
+  float* values = pool.Values(b, slot);
+  std::copy_n(lo, dim_, values);
+  if (IsLeaf(n)) {
+    locator_[ref] = b;
+  } else {
+    std::copy_n(hi, dim_, values + dim_);
+    PoolOf(ref).parent[BlockOf(ref)] = n;
   }
-  return node->children[idx]->mbr;
 }
 
-Rect RStarTree::ComputeNodeRect(const Node* node) const {
-  Rect r(points_->cols());
-  for (size_t i = 0; i < node->count(); ++i) {
-    r.Extend(EntryRect(node, i));
-  }
+void RStarTree::MoveEntry(NodeRef n, size_t from, size_t to) {
+  Pool& pool = PoolOf(n);
+  const uint32_t b = BlockOf(n);
+  pool.Refs(b)[to] = pool.Refs(b)[from];
+  std::copy_n(pool.Values(b, from), pool.width, pool.Values(b, to));
+}
+
+void RStarTree::EraseEntry(NodeRef n, size_t slot) {
+  const size_t count = Count(n);
+  for (size_t s = slot + 1; s < count; ++s) MoveEntry(n, s, s - 1);
+  --PoolOf(n).count[BlockOf(n)];
+}
+
+size_t RStarTree::SlotOf(NodeRef parent, NodeRef child) const {
+  const uint32_t* refs = PoolOf(parent).Refs(BlockOf(parent));
+  const size_t slot =
+      static_cast<size_t>(std::find(refs, refs + Count(parent), child) - refs);
+  assert(slot < Count(parent));
+  return slot;
+}
+
+Rect RStarTree::EntryRect(NodeRef n, size_t slot) const {
+  return Rect(Lo(n, slot), Hi(n, slot), dim_);
+}
+
+Rect RStarTree::ComputeNodeRect(NodeRef n) const {
+  Rect r(dim_);
+  for (size_t i = 0; i < Count(n); ++i) r.ExtendBounds(Lo(n, i), Hi(n, i));
   return r;
+}
+
+// A node's box is stored once: in its parent's slot, or in root_box_.
+Rect RStarTree::NodeBox(NodeRef n) const {
+  if (n == root_) return root_box_;
+  const NodeRef parent = Parent(n);
+  return EntryRect(parent, SlotOf(parent, n));
+}
+
+void RStarTree::SetNodeBox(NodeRef n, const Rect& box) {
+  if (n == root_) {
+    root_box_ = box;
+    return;
+  }
+  const NodeRef parent = Parent(n);
+  float* values = inner_.Values(BlockOf(parent), SlotOf(parent, n));
+  std::copy_n(box.lo_data(), dim_, values);
+  std::copy_n(box.hi_data(), dim_, values + dim_);
+}
+
+void RStarTree::ExtendNodeBox(NodeRef n, const Rect& box) {
+  if (n == root_) {
+    root_box_.Extend(box);
+    return;
+  }
+  const NodeRef parent = Parent(n);
+  float* values = inner_.Values(BlockOf(parent), SlotOf(parent, n));
+  box::Extend(values, values + dim_, box.lo_data(), box.hi_data(), dim_);
 }
 
 // ---------------------------------------------------------------------------
@@ -78,9 +177,6 @@ Rect RStarTree::ComputeNodeRect(const Node* node) const {
 
 namespace {
 
-/// Recursively tiles `items` (already ordered arbitrarily) into groups of at
-/// most `capacity`, sorting by successive dimensions (Sort-Tile-Recursive).
-/// `coord(item, axis)` returns the sort key. Appends groups to `out`.
 /// Splits [0, n) into `parts` contiguous chunks whose sizes differ by at
 /// most one, so bulk loading never emits underfull tail nodes.
 inline std::vector<std::pair<size_t, size_t>> EvenChunks(size_t begin,
@@ -99,10 +195,17 @@ inline std::vector<std::pair<size_t, size_t>> EvenChunks(size_t begin,
   return chunks;
 }
 
-template <typename Item, typename CoordFn>
-void StrPartition(std::vector<Item>& items, size_t begin, size_t end,
+/// Recursively tiles `items` into groups of at most `capacity`, sorting by
+/// successive dimensions (Sort-Tile-Recursive). `coord(item, axis)`
+/// returns the sort key. Appends groups to `out`. Each sort orders
+/// (key, item) pairs by key alone: the same comparisons, and so the same
+/// permutation, as sorting the items with a key lookup per comparison,
+/// with one lookup per item instead.
+template <typename CoordFn>
+void StrPartition(std::vector<uint32_t>& items, size_t begin, size_t end,
                   size_t axis, size_t num_axes, size_t capacity,
                   const CoordFn& coord,
+                  std::vector<std::pair<float, uint32_t>>* keyed,
                   std::vector<std::pair<size_t, size_t>>* out) {
   const size_t n = end - begin;
   if (n == 0) return;
@@ -110,10 +213,14 @@ void StrPartition(std::vector<Item>& items, size_t begin, size_t end,
     out->emplace_back(begin, end);
     return;
   }
-  std::sort(items.begin() + begin, items.begin() + end,
-            [&](const Item& a, const Item& b) {
-              return coord(a, axis) < coord(b, axis);
-            });
+  keyed->resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    const uint32_t item = items[begin + i];
+    (*keyed)[i] = {coord(item, axis), item};
+  }
+  std::sort(keyed->begin(), keyed->end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  for (size_t i = 0; i < n; ++i) items[begin + i] = (*keyed)[i].second;
   const size_t num_groups = (n + capacity - 1) / capacity;
   if (axis + 1 == num_axes) {
     for (const auto& [b, e] : EvenChunks(begin, n, num_groups)) {
@@ -126,103 +233,148 @@ void StrPartition(std::vector<Item>& items, size_t begin, size_t end,
       num_groups, static_cast<size_t>(std::ceil(
                       std::pow(double(num_groups), 1.0 / remaining))));
   for (const auto& [b, e] : EvenChunks(begin, n, slabs)) {
-    StrPartition(items, b, e, axis + 1, num_axes, capacity, coord, out);
+    StrPartition(items, b, e, axis + 1, num_axes, capacity, coord, keyed,
+                 out);
   }
 }
 
 }  // namespace
 
-Status RStarTree::BulkLoad(const std::vector<uint32_t>& ids) {
+Status RStarTree::BulkLoad(const FloatMatrix& points,
+                           const std::vector<uint32_t>& ids) {
+  if (!ids.empty() && points.cols() != dim_) {
+    return Status::InvalidArgument(
+        "points have " + std::to_string(points.cols()) +
+        " columns; the tree indexes " + std::to_string(dim_));
+  }
+  std::vector<uint32_t> locator(points.rows(), kNoNode);
   for (uint32_t id : ids) {
-    if (id >= points_->rows()) {
+    if (id >= points.rows()) {
       return Status::InvalidArgument("point id " + std::to_string(id) +
                                      " out of range");
     }
+    if (locator[id] != kNoNode) {
+      return Status::InvalidArgument("point id " + std::to_string(id) +
+                                     " repeats");
+    }
+    locator[id] = 0;
   }
-  FreeTree(root_);
-  root_ = nullptr;
+  Clear();
+  locator_ = std::move(locator);
   size_ = ids.size();
   if (ids.empty()) {
-    root_ = new Node();
-    root_->mbr = Rect(points_->cols());
+    root_ = NewNode(0);
     return Status::OK();
   }
 
-  const size_t dim = points_->cols();
   std::vector<uint32_t> sorted = ids;
   std::vector<std::pair<size_t, size_t>> groups;
-  StrPartition(
-      sorted, 0, sorted.size(), 0, dim, options_.max_entries,
-      [&](uint32_t id, size_t axis) { return points_->at(id, axis); },
-      &groups);
-
-  std::vector<Node*> leaves;
-  leaves.reserve(groups.size());
-  for (const auto& [b, e] : groups) {
-    Node* leaf = new Node();
-    leaf->ids.assign(sorted.begin() + b, sorted.begin() + e);
-    leaf->mbr = ComputeNodeRect(leaf);
-    leaves.push_back(leaf);
+  {
+    std::vector<std::pair<float, uint32_t>> keyed;
+    StrPartition(
+        sorted, 0, sorted.size(), 0, dim_, options_.max_entries,
+        [&](uint32_t id, size_t axis) { return points.at(id, axis); }, &keyed,
+        &groups);
   }
-  root_ = BulkLoadLevel(std::move(leaves));
+
+  const size_t slots = leaves_.slots;
+  leaves_.count.reserve(groups.size());
+  leaves_.level.reserve(groups.size());
+  leaves_.parent.reserve(groups.size());
+  leaves_.refs.reserve(groups.size() * slots);
+  leaves_.values.reserve(groups.size() * slots * dim_);
+  std::vector<NodeRef> leaves;
+  std::vector<Rect> boxes;
+  leaves.reserve(groups.size());
+  boxes.reserve(groups.size());
+  for (const auto& [b, e] : groups) {
+    const NodeRef leaf = NewNode(0);
+    for (size_t i = b; i < e; ++i) {
+      const float* p = points.row(sorted[i]);
+      AppendEntry(leaf, sorted[i], p, p);
+    }
+    leaves.push_back(leaf);
+    boxes.push_back(ComputeNodeRect(leaf));
+  }
+  BulkLoadLevels(std::move(leaves), std::move(boxes));
   return Status::OK();
 }
 
-Status RStarTree::BulkLoadAll() {
-  std::vector<uint32_t> ids(points_->rows());
+Status RStarTree::BulkLoadAll(const FloatMatrix& points) {
+  std::vector<uint32_t> ids(points.rows());
   std::iota(ids.begin(), ids.end(), 0);
-  return BulkLoad(ids);
+  return BulkLoad(points, ids);
 }
 
-RStarTree::Node* RStarTree::BulkLoadLevel(std::vector<Node*> nodes) {
-  if (nodes.size() == 1) return nodes[0];
-  const size_t dim = points_->cols();
-  std::vector<std::pair<size_t, size_t>> groups;
-  StrPartition(
-      nodes, 0, nodes.size(), 0, dim, options_.max_entries,
-      [](const Node* n, size_t axis) { return n->mbr.Center(axis); },
-      &groups);
-  std::vector<Node*> parents;
-  parents.reserve(groups.size());
-  for (const auto& [b, e] : groups) {
-    Node* parent = new Node();
-    parent->level = nodes[b]->level + 1;
-    parent->children.assign(nodes.begin() + b, nodes.begin() + e);
-    parent->mbr = ComputeNodeRect(parent);
-    parents.push_back(parent);
+void RStarTree::BulkLoadLevels(std::vector<NodeRef> nodes,
+                               std::vector<Rect> boxes) {
+  while (nodes.size() > 1) {
+    std::vector<uint32_t> order(nodes.size());
+    std::iota(order.begin(), order.end(), 0);
+    std::vector<std::pair<size_t, size_t>> groups;
+    std::vector<std::pair<float, uint32_t>> keyed;
+    StrPartition(
+        order, 0, order.size(), 0, dim_, options_.max_entries,
+        [&](uint32_t i, size_t axis) { return boxes[i].Center(axis); },
+        &keyed, &groups);
+    std::vector<NodeRef> parents;
+    std::vector<Rect> parent_boxes;
+    parents.reserve(groups.size());
+    parent_boxes.reserve(groups.size());
+    for (const auto& [b, e] : groups) {
+      const NodeRef parent = NewNode(Level(nodes[order[b]]) + 1);
+      for (size_t i = b; i < e; ++i) {
+        const Rect& box = boxes[order[i]];
+        AppendEntry(parent, nodes[order[i]], box.lo_data(), box.hi_data());
+      }
+      parents.push_back(parent);
+      parent_boxes.push_back(ComputeNodeRect(parent));
+    }
+    nodes = std::move(parents);
+    boxes = std::move(parent_boxes);
   }
-  return BulkLoadLevel(std::move(parents));
+  root_ = nodes[0];
+  root_box_ = std::move(boxes[0]);
 }
 
 // ---------------------------------------------------------------------------
 // R* insertion
 // ---------------------------------------------------------------------------
 
-RStarTree::Node* RStarTree::ChooseSubtree(const Rect& entry_rect,
-                                          size_t target_level,
-                                          std::vector<Node*>* path) const {
-  Node* node = root_;
-  path->push_back(node);
-  while (node->level > target_level) {
-    const bool children_are_leaves = (node->level == 1);
+RStarTree::NodeRef RStarTree::ChooseSubtree(const Rect& entry_rect,
+                                            size_t target_level) const {
+  const float* entry_lo = entry_rect.lo_data();
+  const float* entry_hi = entry_rect.hi_data();
+  std::vector<float> extended(2 * dim_);
+  float* extended_lo = extended.data();
+  float* extended_hi = extended.data() + dim_;
+  NodeRef node = root_;
+  while (Level(node) > target_level) {
+    const bool children_are_leaves = (Level(node) == 1);
+    const size_t count = Count(node);
     size_t best = 0;
     double best_primary = std::numeric_limits<double>::max();
     double best_secondary = std::numeric_limits<double>::max();
     double best_area = std::numeric_limits<double>::max();
-    for (size_t i = 0; i < node->children.size(); ++i) {
-      const Rect& child_rect = node->children[i]->mbr;
-      const double area = child_rect.Area();
-      const double enlargement = child_rect.Enlargement(entry_rect);
+    for (size_t i = 0; i < count; ++i) {
+      const float* lo = Lo(node, i);
+      const float* hi = Hi(node, i);
+      const double area = box::Area(lo, hi, dim_);
+      const double enlargement =
+          box::Enlargement(lo, hi, entry_lo, entry_hi, dim_);
       double primary;
       if (children_are_leaves) {
         // R*: minimize overlap enlargement among siblings.
-        Rect extended = child_rect;
-        extended.Extend(entry_rect);
+        std::copy_n(lo, dim_, extended_lo);
+        std::copy_n(hi, dim_, extended_hi);
+        box::Extend(extended_lo, extended_hi, entry_lo, entry_hi, dim_);
         double overlap_before = 0.0, overlap_after = 0.0;
-        for (size_t j = 0; j < node->children.size(); ++j) {
+        for (size_t j = 0; j < count; ++j) {
           if (j == i) continue;
-          overlap_before += child_rect.OverlapArea(node->children[j]->mbr);
-          overlap_after += extended.OverlapArea(node->children[j]->mbr);
+          overlap_before +=
+              box::OverlapArea(lo, hi, Lo(node, j), Hi(node, j), dim_);
+          overlap_after += box::OverlapArea(extended_lo, extended_hi,
+                                            Lo(node, j), Hi(node, j), dim_);
         }
         primary = overlap_after - overlap_before;
       } else {
@@ -238,103 +390,96 @@ RStarTree::Node* RStarTree::ChooseSubtree(const Rect& entry_rect,
         best_area = area;
       }
     }
-    node = node->children[best];
-    path->push_back(node);
+    node = Ref(node, best);
   }
   return node;
 }
 
-void RStarTree::InsertAtLevel(const Rect& rect, uint32_t id, Node* subtree,
+// Adds an entry at `target_level`: a point id with the degenerate box of
+// its coordinates at level 0, a subtree with its box above.
+void RStarTree::InsertAtLevel(const Rect& rect, uint32_t ref,
                               size_t target_level,
                               std::vector<bool>* reinserted) {
-  std::vector<Node*> path;
-  Node* node = ChooseSubtree(rect, target_level, &path);
-  if (subtree == nullptr) {
-    assert(node->is_leaf());
-    node->ids.push_back(id);
-  } else {
-    node->children.push_back(subtree);
-  }
-  for (Node* n : path) n->mbr.Extend(rect);
-  if (node->count() > options_.max_entries) {
-    HandleOverflow(node, path, reinserted);
+  const NodeRef node = ChooseSubtree(rect, target_level);
+  AppendEntry(node, ref, rect.lo_data(), rect.hi_data());
+  for (NodeRef n = node; n != kNoNode; n = Parent(n)) ExtendNodeBox(n, rect);
+  if (Count(node) > options_.max_entries) {
+    HandleOverflow(node, reinserted);
   }
 }
 
-void RStarTree::HandleOverflow(Node* node, std::vector<Node*>& path,
-                               std::vector<bool>* reinserted) {
+void RStarTree::HandleOverflow(NodeRef node, std::vector<bool>* reinserted) {
   const bool is_root = (node == root_);
-  if (!is_root && reinserted != nullptr && node->level < reinserted->size() &&
-      !(*reinserted)[node->level]) {
-    (*reinserted)[node->level] = true;
-    ReinsertEntries(node, path, reinserted);
+  const size_t level = Level(node);
+  if (!is_root && reinserted != nullptr && level < reinserted->size() &&
+      !(*reinserted)[level]) {
+    (*reinserted)[level] = true;
+    ReinsertEntries(node, reinserted);
   } else {
-    SplitNode(node, path);
+    SplitNode(node);
   }
 }
 
-void RStarTree::ReinsertEntries(Node* node, std::vector<Node*>& path,
-                                std::vector<bool>* reinserted) {
+void RStarTree::ReinsertEntries(NodeRef node, std::vector<bool>* reinserted) {
   const size_t p = std::max<size_t>(
       1, static_cast<size_t>(options_.reinsert_fraction *
                              static_cast<double>(options_.max_entries)));
-  const size_t count = node->count();
+  const size_t count = Count(node);
   assert(count > p);
 
   // Order entries by distance of their rect center from the node center,
   // farthest first; evict the first p.
+  const Rect node_box = NodeBox(node);
   std::vector<std::pair<double, size_t>> by_dist(count);
   for (size_t i = 0; i < count; ++i) {
-    by_dist[i] = {node->mbr.CenterDistanceSquared(EntryRect(node, i)), i};
+    by_dist[i] = {box::CenterDistanceSquared(node_box.lo_data(),
+                                             node_box.hi_data(), Lo(node, i),
+                                             Hi(node, i), dim_),
+                  i};
   }
   std::sort(by_dist.begin(), by_dist.end(),
             [](const auto& a, const auto& b) { return a.first > b.first; });
 
-  std::vector<uint32_t> evicted_ids;
-  std::vector<Node*> evicted_children;
+  // Evicted entries are copied out in slot order; kept ones shift down.
   std::vector<bool> evict(count, false);
   for (size_t i = 0; i < p; ++i) evict[by_dist[i].second] = true;
-  if (node->is_leaf()) {
-    std::vector<uint32_t> kept;
-    for (size_t i = 0; i < count; ++i) {
-      (evict[i] ? evicted_ids : kept).push_back(node->ids[i]);
+  std::vector<std::pair<uint32_t, Rect>> evicted;
+  size_t kept = 0;
+  for (size_t i = 0; i < count; ++i) {
+    if (evict[i]) {
+      evicted.emplace_back(Ref(node, i), EntryRect(node, i));
+    } else {
+      MoveEntry(node, i, kept++);
     }
-    node->ids = std::move(kept);
-  } else {
-    std::vector<Node*> kept;
-    for (size_t i = 0; i < count; ++i) {
-      (evict[i] ? evicted_children : kept).push_back(node->children[i]);
-    }
-    node->children = std::move(kept);
   }
+  PoolOf(node).count[BlockOf(node)] = static_cast<uint32_t>(kept);
 
-  // Tighten MBRs along the whole path after eviction.
-  for (auto it = path.rbegin(); it != path.rend(); ++it) {
-    (*it)->mbr = ComputeNodeRect(*it);
+  // Tighten boxes along the whole path after eviction.
+  for (NodeRef n = node; n != kNoNode; n = Parent(n)) {
+    SetNodeBox(n, ComputeNodeRect(n));
   }
 
   // Re-insert closest-first (the R* "close reinsert" policy).
-  for (auto it = evicted_ids.rbegin(); it != evicted_ids.rend(); ++it) {
-    InsertAtLevel(Rect(points_->row(*it), points_->cols()), *it, nullptr,
-                  node->level, reinserted);
-  }
-  for (auto it = evicted_children.rbegin(); it != evicted_children.rend();
-       ++it) {
-    InsertAtLevel((*it)->mbr, 0, *it, (*it)->level + 1, reinserted);
+  const size_t level = Level(node);
+  for (auto it = evicted.rbegin(); it != evicted.rend(); ++it) {
+    InsertAtLevel(it->second, it->first, level, reinserted);
   }
 }
 
-void RStarTree::SplitNode(Node* node, std::vector<Node*>& path) {
-  const size_t count = node->count();
+void RStarTree::SplitNode(NodeRef node) {
+  const size_t count = Count(node);
   const size_t m = options_.MinEntries();
   assert(count >= 2 * m);
-  const size_t dim = points_->cols();
+  const size_t dim = dim_;
 
   std::vector<Rect> rects(count);
-  for (size_t i = 0; i < count; ++i) rects[i] = EntryRect(node, i);
+  std::vector<uint32_t> refs(count);
+  for (size_t i = 0; i < count; ++i) {
+    rects[i] = EntryRect(node, i);
+    refs[i] = Ref(node, i);
+  }
 
   // R* ChooseSplitAxis: minimize total margin over all valid distributions.
-  size_t best_axis = 0;
   double best_margin_sum = std::numeric_limits<double>::max();
   std::vector<size_t> order(count);
   std::vector<size_t> best_order;
@@ -364,11 +509,9 @@ void RStarTree::SplitNode(Node* node, std::vector<Node*>& path) {
     }
     if (margin_sum < best_margin_sum) {
       best_margin_sum = margin_sum;
-      best_axis = axis;
       best_order = order;
     }
   }
-  (void)best_axis;
 
   // ChooseSplitIndex on the winning axis: minimize overlap, tie on area.
   order = best_order;
@@ -398,65 +541,55 @@ void RStarTree::SplitNode(Node* node, std::vector<Node*>& path) {
   }
 
   // Materialize the two groups.
-  Node* sibling = new Node();
-  sibling->level = node->level;
-  if (node->is_leaf()) {
-    std::vector<uint32_t> group1, group2;
-    for (size_t i = 0; i < count; ++i) {
-      (i < best_k ? group1 : group2).push_back(node->ids[order[i]]);
-    }
-    node->ids = std::move(group1);
-    sibling->ids = std::move(group2);
-  } else {
-    std::vector<Node*> group1, group2;
-    for (size_t i = 0; i < count; ++i) {
-      (i < best_k ? group1 : group2).push_back(node->children[order[i]]);
-    }
-    node->children = std::move(group1);
-    sibling->children = std::move(group2);
+  const NodeRef sibling = NewNode(Level(node));
+  PoolOf(node).count[BlockOf(node)] = 0;
+  for (size_t i = 0; i < count; ++i) {
+    const Rect& r = rects[order[i]];
+    AppendEntry(i < best_k ? node : sibling, refs[order[i]], r.lo_data(),
+                r.hi_data());
   }
-  node->mbr = ComputeNodeRect(node);
-  sibling->mbr = ComputeNodeRect(sibling);
+  const Rect node_box = ComputeNodeRect(node);
+  const Rect sibling_box = ComputeNodeRect(sibling);
 
   if (node == root_) {
-    Node* new_root = new Node();
-    new_root->level = node->level + 1;
-    new_root->children = {node, sibling};
-    new_root->mbr = ComputeNodeRect(new_root);
+    const NodeRef new_root = NewNode(Level(node) + 1);
+    AppendEntry(new_root, node, node_box.lo_data(), node_box.hi_data());
+    AppendEntry(new_root, sibling, sibling_box.lo_data(),
+                sibling_box.hi_data());
     root_ = new_root;
+    root_box_ = ComputeNodeRect(new_root);
     return;
   }
   // Attach the sibling to the parent; parent may overflow in turn.
-  assert(path.size() >= 2 && path.back() == node);
-  path.pop_back();
-  Node* parent = path.back();
-  parent->children.push_back(sibling);
-  parent->mbr.Extend(sibling->mbr);
-  if (parent->count() > options_.max_entries) {
+  const NodeRef parent = Parent(node);
+  SetNodeBox(node, node_box);
+  AppendEntry(parent, sibling, sibling_box.lo_data(), sibling_box.hi_data());
+  ExtendNodeBox(parent, sibling_box);
+  if (Count(parent) > options_.max_entries) {
     // Deeper levels already handled reinsertion bookkeeping; split directly
     // up the path (standard overflow propagation).
-    SplitNode(parent, path);
+    SplitNode(parent);
   }
 }
 
-Status RStarTree::Insert(uint32_t id) {
-  if (id >= points_->rows()) {
+Status RStarTree::Insert(uint32_t id, const float* point) {
+  if (Point(id) != nullptr) {
     return Status::InvalidArgument("point id " + std::to_string(id) +
-                                   " out of range");
+                                   " is already indexed");
   }
-  if (root_ == nullptr) {
-    root_ = new Node();
-    root_->mbr = Rect(points_->cols());
+  if (id >= locator_.size()) locator_.resize(size_t{id} + 1, kNoNode);
+  if (root_ == kNoNode) {
+    root_ = NewNode(0);
+    root_box_ = Rect(dim_);
   }
-  if (size_ == 0 && root_->count() == 0) {
-    root_->ids.push_back(id);
-    root_->mbr = ComputeNodeRect(root_);
+  if (size_ == 0 && Count(root_) == 0) {
+    AppendEntry(root_, id, point, point);
+    root_box_ = ComputeNodeRect(root_);
     size_ = 1;
     return Status::OK();
   }
-  std::vector<bool> reinserted(root_->level + 1, false);
-  InsertAtLevel(Rect(points_->row(id), points_->cols()), id, nullptr, 0,
-                &reinserted);
+  std::vector<bool> reinserted(Level(root_) + 1, false);
+  InsertAtLevel(Rect(point, dim_), id, 0, &reinserted);
   ++size_;
   return Status::OK();
 }
@@ -465,134 +598,60 @@ Status RStarTree::Insert(uint32_t id) {
 // Deletion
 // ---------------------------------------------------------------------------
 
-namespace {
-
-struct RemoveResult {
-  bool found = false;
-};
-
-}  // namespace
-
 Status RStarTree::Remove(uint32_t id) {
-  if (root_ == nullptr || id >= points_->rows()) {
+  if (id >= locator_.size() || locator_[id] == kNoNode) {
     return Status::NotFound("id not indexed");
   }
-  const Rect target(points_->row(id), points_->cols());
-
-  // Find the leaf holding `id`, tracking the path.
-  std::vector<Node*> path;
-  std::vector<size_t> slot;  // child index taken at each internal node
-  Node* node = root_;
-  path.push_back(node);
-  bool found = false;
-  while (!found) {
-    if (node->is_leaf()) {
-      auto it = std::find(node->ids.begin(), node->ids.end(), id);
-      if (it != node->ids.end()) {
-        node->ids.erase(it);
-        found = true;
-        break;
-      }
-      // Backtrack.
-      while (true) {
-        path.pop_back();
-        if (path.empty()) return Status::NotFound("id not indexed");
-        Node* parent = path.back();
-        size_t& idx = slot.back();
-        ++idx;
-        bool descended = false;
-        for (; idx < parent->children.size(); ++idx) {
-          if (parent->children[idx]->mbr.ContainsRect(target)) {
-            node = parent->children[idx];
-            path.push_back(node);
-            descended = true;
-            break;
-          }
-        }
-        if (descended) break;
-        slot.pop_back();
-      }
-    } else {
-      bool descended = false;
-      for (size_t i = 0; i < node->children.size(); ++i) {
-        if (node->children[i]->mbr.ContainsRect(target)) {
-          slot.push_back(i);
-          node = node->children[i];
-          path.push_back(node);
-          descended = true;
-          break;
-        }
-      }
-      if (!descended) {
-        // No child covers the point: backtrack as in the leaf case.
-        while (true) {
-          path.pop_back();
-          if (path.empty()) return Status::NotFound("id not indexed");
-          Node* parent = path.back();
-          size_t& idx = slot.back();
-          ++idx;
-          bool redescended = false;
-          for (; idx < parent->children.size(); ++idx) {
-            if (parent->children[idx]->mbr.ContainsRect(target)) {
-              node = parent->children[idx];
-              path.push_back(node);
-              redescended = true;
-              break;
-            }
-          }
-          if (redescended) break;
-          slot.pop_back();
-        }
-      }
-    }
-  }
+  const NodeRef leaf = locator_[id];
+  const uint32_t* ids = leaves_.Refs(leaf);
+  EraseEntry(leaf, static_cast<size_t>(
+                       std::find(ids, ids + Count(leaf), id) - ids));
+  locator_[id] = kNoNode;
   --size_;
 
   // Condense: remove underfull nodes along the path, collecting orphans.
   const size_t min_entries = options_.MinEntries();
-  std::vector<Node*> orphans;
-  for (size_t depth = path.size(); depth-- > 0;) {
-    Node* n = path[depth];
-    if (n == root_) break;
-    Node* parent = path[depth - 1];
-    if (n->count() < min_entries) {
-      auto it = std::find(parent->children.begin(), parent->children.end(), n);
-      assert(it != parent->children.end());
-      parent->children.erase(it);
+  std::vector<NodeRef> orphans;
+  for (NodeRef n = leaf; n != root_;) {
+    const NodeRef parent = Parent(n);
+    if (Count(n) < min_entries) {
+      EraseEntry(parent, SlotOf(parent, n));
       orphans.push_back(n);
     } else {
-      n->mbr = ComputeNodeRect(n);
+      SetNodeBox(n, ComputeNodeRect(n));
     }
+    n = parent;
   }
-  root_->mbr = ComputeNodeRect(root_);
+  root_box_ = ComputeNodeRect(root_);
 
   // Re-insert orphaned entries at their original levels.
-  for (Node* orphan : orphans) {
-    if (orphan->is_leaf()) {
-      for (uint32_t oid : orphan->ids) {
-        std::vector<bool> reinserted(root_->level + 1, false);
-        InsertAtLevel(Rect(points_->row(oid), points_->cols()), oid, nullptr,
-                      0, &reinserted);
-      }
-      delete orphan;
-    } else {
-      for (Node* child : orphan->children) {
-        std::vector<bool> reinserted(root_->level + 1, false);
-        InsertAtLevel(child->mbr, 0, child, child->level + 1, &reinserted);
-      }
-      orphan->children.clear();
-      delete orphan;
+  for (NodeRef orphan : orphans) {
+    const size_t level = Level(orphan);
+    for (size_t i = 0; i < Count(orphan); ++i) {
+      std::vector<bool> reinserted(Level(root_) + 1, false);
+      InsertAtLevel(EntryRect(orphan, i), Ref(orphan, i), level, &reinserted);
     }
+    FreeNode(orphan);
   }
 
   // Shrink the root while it is an internal node with a single child.
-  while (!root_->is_leaf() && root_->children.size() == 1) {
-    Node* old_root = root_;
-    root_ = root_->children[0];
-    old_root->children.clear();
-    delete old_root;
+  while (!IsLeaf(root_) && Count(root_) == 1) {
+    const NodeRef old_root = root_;
+    root_box_ = EntryRect(old_root, 0);
+    root_ = Ref(old_root, 0);
+    PoolOf(root_).parent[BlockOf(root_)] = kNoNode;
+    FreeNode(old_root);
   }
   return Status::OK();
+}
+
+const float* RStarTree::Point(uint32_t id) const {
+  if (id >= locator_.size() || locator_[id] == kNoNode) return nullptr;
+  const NodeRef leaf = locator_[id];
+  const uint32_t* ids = leaves_.Refs(leaf);
+  const size_t slot =
+      static_cast<size_t>(std::find(ids, ids + Count(leaf), id) - ids);
+  return slot < Count(leaf) ? leaves_.Values(leaf, slot) : nullptr;
 }
 
 // ---------------------------------------------------------------------------
@@ -609,21 +668,25 @@ void RStarTree::WindowQuery(const Rect& window,
 
 void RStarTree::WindowQueryVisit(
     const Rect& window, const std::function<bool(uint32_t)>& visit) const {
-  if (root_ == nullptr) return;
-  std::vector<const Node*> stack = {root_};
+  if (root_ == kNoNode || !window.Intersects(root_box_)) return;
+  const float* window_lo = window.lo_data();
+  const float* window_hi = window.hi_data();
+  std::vector<NodeRef> stack = {root_};
   while (!stack.empty()) {
-    const Node* node = stack.back();
+    const NodeRef node = stack.back();
     stack.pop_back();
-    if (!window.Intersects(node->mbr)) continue;
-    if (node->is_leaf()) {
-      for (uint32_t id : node->ids) {
-        if (window.ContainsPoint(points_->row(id))) {
-          if (!visit(id)) return;
+    if (IsLeaf(node)) {
+      for (size_t i = 0; i < Count(node); ++i) {
+        if (box::ContainsPoint(window_lo, window_hi, Lo(node, i), dim_)) {
+          if (!visit(Ref(node, i))) return;
         }
       }
     } else {
-      for (const Node* child : node->children) {
-        if (window.Intersects(child->mbr)) stack.push_back(child);
+      for (size_t i = 0; i < Count(node); ++i) {
+        if (box::Intersects(window_lo, window_hi, Lo(node, i), Hi(node, i),
+                            dim_)) {
+          stack.push_back(Ref(node, i));
+        }
       }
     }
   }
@@ -631,60 +694,73 @@ void RStarTree::WindowQueryVisit(
 
 RTreeStats RStarTree::ComputeStats() const {
   RTreeStats stats;
-  if (root_ == nullptr) return stats;
-  stats.height = root_->level + 1;
-  std::vector<const Node*> stack = {root_};
+  if (root_ == kNoNode) return stats;
+  stats.height = Level(root_) + 1;
+  std::vector<NodeRef> stack = {root_};
   while (!stack.empty()) {
-    const Node* node = stack.back();
+    const NodeRef node = stack.back();
     stack.pop_back();
     ++stats.node_count;
-    if (node->is_leaf()) {
+    if (IsLeaf(node)) {
       ++stats.leaf_count;
-      stats.entry_count += node->ids.size();
+      stats.entry_count += Count(node);
     } else {
-      for (const Node* child : node->children) stack.push_back(child);
+      for (size_t i = 0; i < Count(node); ++i) stack.push_back(Ref(node, i));
     }
   }
   return stats;
 }
 
 size_t RStarTree::CheckInvariants() const {
-  if (root_ == nullptr) return 0;
+  if (root_ == kNoNode) return 0;
   size_t violations = 0;
   const size_t min_entries = options_.MinEntries();
-  std::vector<const Node*> stack = {root_};
-  size_t leaf_level_seen = std::numeric_limits<size_t>::max();
+  size_t entries = 0;
+  if (Parent(root_) != kNoNode) ++violations;
+  // Each node is checked against the box its parent stores for it.
+  std::vector<std::pair<NodeRef, Rect>> stack = {{root_, root_box_}};
   while (!stack.empty()) {
-    const Node* node = stack.back();
+    const auto [node, node_box] = std::move(stack.back());
     stack.pop_back();
+    const size_t count = Count(node);
     const bool is_root = (node == root_);
-    if (node->count() > options_.max_entries) ++violations;
-    if (!is_root && node->count() < min_entries) ++violations;
-    if (node->is_leaf()) {
-      if (leaf_level_seen == std::numeric_limits<size_t>::max()) {
-        leaf_level_seen = node->level;
-      } else if (node->level != leaf_level_seen) {
-        ++violations;
+    if (count > options_.max_entries) ++violations;
+    if (!is_root && count < min_entries) ++violations;
+    if (IsLeaf(node)) {
+      if (Level(node) != 0) ++violations;
+      for (size_t i = 0; i < count; ++i) {
+        const uint32_t id = Ref(node, i);
+        if (!node_box.ContainsPoint(Lo(node, i))) ++violations;
+        // Locator fault: the id does not map to the leaf holding it.
+        if (id >= locator_.size() || locator_[id] != node) ++violations;
       }
-      for (uint32_t id : node->ids) {
-        if (!node->mbr.ContainsPoint(points_->row(id))) ++violations;
-      }
+      entries += count;
     } else {
-      for (const Node* child : node->children) {
-        if (child->level + 1 != node->level) ++violations;
-        if (!node->mbr.ContainsRect(child->mbr)) ++violations;
-        stack.push_back(child);
+      for (size_t i = 0; i < count; ++i) {
+        const NodeRef child = Ref(node, i);
+        if (Level(child) + 1 != Level(node)) ++violations;
+        if (Parent(child) != node) ++violations;
+        const Rect child_box = EntryRect(node, i);
+        if (!node_box.ContainsRect(child_box)) ++violations;
+        stack.emplace_back(child, child_box);
       }
     }
     const Rect computed = ComputeNodeRect(node);
-    for (size_t j = 0; j < computed.dim(); ++j) {
-      if (node->count() > 0 && (computed.lo(j) != node->mbr.lo(j) ||
-                                computed.hi(j) != node->mbr.hi(j))) {
+    for (size_t j = 0; j < dim_; ++j) {
+      if (count > 0 && (computed.lo(j) != node_box.lo(j) ||
+                        computed.hi(j) != node_box.hi(j))) {
         ++violations;
         break;
       }
     }
   }
+  // Locator faults: the entry count, or the number of ids the locator
+  // maps, differs from size().
+  if (entries != size_) ++violations;
+  const auto located = static_cast<size_t>(
+      std::count_if(locator_.begin(), locator_.end(),
+                    [](uint32_t leaf) { return leaf != kNoNode; }));
+  if (located != size_) ++violations;
   return violations;
 }
 
@@ -693,14 +769,14 @@ size_t RStarTree::CheckInvariants() const {
 // ---------------------------------------------------------------------------
 
 struct RStarTree::WindowCursor::Frame {
-  const Node* node;
-  size_t idx;
+  NodeRef node;
+  uint32_t next;  // slot to test next
 };
 
 RStarTree::WindowCursor::WindowCursor(const RStarTree* tree, Rect window)
     : tree_(tree), window_(std::move(window)) {
-  if (tree_->root_ != nullptr &&
-      window_.Intersects(tree_->root_->mbr)) {
+  if (tree_->root_ != kNoNode && window_.Intersects(tree_->root_box_)) {
+    stack_.reserve(8);
     stack_.push_back({tree_->root_, 0});
   }
 }
@@ -709,24 +785,34 @@ RStarTree::WindowCursor::~WindowCursor() = default;
 RStarTree::WindowCursor::WindowCursor(WindowCursor&&) noexcept = default;
 
 bool RStarTree::WindowCursor::Next(uint32_t* id) {
+  const size_t dim = tree_->dim_;
+  const float* window_lo = window_.lo_data();
+  const float* window_hi = window_.hi_data();
   while (!stack_.empty()) {
     Frame& frame = stack_.back();
-    const Node* node = frame.node;
-    if (node->is_leaf()) {
-      while (frame.idx < node->ids.size()) {
-        const uint32_t candidate = node->ids[frame.idx++];
-        if (window_.ContainsPoint(tree_->points_->row(candidate))) {
-          *id = candidate;
+    const uint32_t block = BlockOf(frame.node);
+    if (IsLeaf(frame.node)) {
+      const Pool& leaves = tree_->leaves_;
+      const uint32_t count = leaves.count[block];
+      const float* point = leaves.Values(block, frame.next);
+      for (; frame.next < count; point += dim) {
+        const uint32_t slot = frame.next++;
+        if (box::ContainsPoint(window_lo, window_hi, point, dim)) {
+          *id = leaves.Refs(block)[slot];
           return true;
         }
       }
       stack_.pop_back();
     } else {
+      const Pool& inner = tree_->inner_;
+      const uint32_t count = inner.count[block];
+      const float* child_box = inner.Values(block, frame.next);
       bool descended = false;
-      while (frame.idx < node->children.size()) {
-        const Node* child = node->children[frame.idx++];
-        if (window_.Intersects(child->mbr)) {
-          stack_.push_back({child, 0});
+      for (; frame.next < count; child_box += 2 * dim) {
+        const uint32_t slot = frame.next++;
+        if (box::Intersects(window_lo, window_hi, child_box, child_box + dim,
+                            dim)) {
+          stack_.push_back({inner.Refs(block)[slot], 0});
           descended = true;
           break;
         }

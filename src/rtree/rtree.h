@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "dataset/float_matrix.h"
@@ -19,6 +18,8 @@ struct RTreeOptions {
   double min_fill = 0.4;
   double reinsert_fraction = 0.3;
 
+  /// The minimum fill of a non-root node: max_entries * min_fill, at
+  /// least 1.
   size_t MinEntries() const {
     const auto m = static_cast<size_t>(max_entries * min_fill);
     return m < 1 ? 1 : m;
@@ -33,38 +34,52 @@ struct RTreeStats {
   size_t entry_count = 0;  ///< indexed points
 };
 
-/// In-memory R*-tree over the rows of an external `FloatMatrix` (the
-/// projected points of one DB-LSH compound hash G_i). The tree stores point
-/// ids only; coordinates are read from the matrix, which must outlive the
-/// tree and must not be reallocated while indexed.
+/// In-memory R*-tree over `dim`-dimensional points (the projected points
+/// of one DB-LSH compound hash G_i). The tree owns its points: a leaf
+/// stores each entry's id and coordinates inline, and an internal node
+/// stores its children's boxes inline, so a window query reads only the
+/// nodes it tests. Nodes live in one arena per node kind, addressed by
+/// index, with a free list; a dense id -> leaf locator (4 bytes per id up
+/// to the largest) lets Remove() and Point() find an entry without its
+/// coordinates.
 ///
 /// Supports both one-by-one R* insertion (ChooseSubtree + forced reinsert +
 /// R* topological split) and Sort-Tile-Recursive bulk loading — the paper
 /// credits bulk loading for DB-LSH's small indexing time, and the ablation
-/// bench compares the two.
+/// bench compares the two. Entries keep their order within a node (a
+/// removal shifts the later ones down), so a window yields its ids in an
+/// order fixed by the sequence of operations alone.
 class RStarTree {
  public:
-  explicit RStarTree(const FloatMatrix* points,
-                     RTreeOptions options = RTreeOptions());
-  ~RStarTree();
+  /// An empty tree over `dim`-dimensional points.
+  explicit RStarTree(size_t dim, RTreeOptions options = RTreeOptions());
 
-  RStarTree(RStarTree&&) noexcept;
-  RStarTree& operator=(RStarTree&&) noexcept;
+  /// Moving leaves `other` empty.
+  RStarTree(RStarTree&& other) noexcept;
+  RStarTree& operator=(RStarTree&& other) noexcept;
   RStarTree(const RStarTree&) = delete;
   RStarTree& operator=(const RStarTree&) = delete;
 
-  /// Builds the tree over `ids` with STR bulk loading; replaces any existing
-  /// content. Fails if an id is out of range for the backing matrix.
-  Status BulkLoad(const std::vector<uint32_t>& ids);
+  /// Builds the tree over the rows `ids` of `points` with STR bulk loading,
+  /// copying their coordinates; replaces any existing content. Fails with
+  /// InvalidArgument, leaving the tree as it was, if an id is out of range
+  /// for `points` or repeats, or if `points` is not dim() wide.
+  Status BulkLoad(const FloatMatrix& points, const std::vector<uint32_t>& ids);
 
-  /// Convenience: bulk loads all rows of the backing matrix.
-  Status BulkLoadAll();
+  /// Convenience: bulk loads every row of `points` (ids 0..rows-1).
+  Status BulkLoadAll(const FloatMatrix& points);
 
-  /// Inserts one point id (R* insertion with forced reinsertion).
-  Status Insert(uint32_t id);
+  /// Inserts point `id` at `point` (dim() floats, copied) by R* insertion
+  /// with forced reinsertion. Returns InvalidArgument, changing nothing,
+  /// if `id` is already indexed.
+  Status Insert(uint32_t id, const float* point);
 
   /// Removes one point id; returns NotFound if absent.
   Status Remove(uint32_t id);
+
+  /// The stored coordinates of `id` (dim() floats), or nullptr when `id`
+  /// is not indexed. Valid until the next mutation of the tree.
+  const float* Point(uint32_t id) const;
 
   /// Collects all point ids inside `window` (inclusive bounds).
   void WindowQuery(const Rect& window, std::vector<uint32_t>* out) const;
@@ -73,19 +88,27 @@ class RStarTree {
   void WindowQueryVisit(const Rect& window,
                         const std::function<bool(uint32_t)>& visit) const;
 
+  /// Number of indexed points.
   size_t size() const { return size_; }
-  size_t dim() const { return points_->cols(); }
+  /// Dimensionality of the indexed points.
+  size_t dim() const { return dim_; }
+  /// Height, node, leaf and entry counts, by a full traversal.
   RTreeStats ComputeStats() const;
 
-  /// Invariant checker used by the test suite: verifies MBR containment,
-  /// fill factors, and uniform leaf depth. Returns the number of violations.
+  /// Invariant checker used by the test suite: verifies that every stored
+  /// child box is exactly its child's bounding box, fill factors, uniform
+  /// leaf depth, parent links, and the id locator (every indexed id maps
+  /// to the leaf holding it; the entry count equals size()). Returns the
+  /// number of violations.
   size_t CheckInvariants() const;
 
   /// Streaming window query: yields matching ids one at a time so callers
   /// (DB-LSH's Algorithm 1) can stop after a candidate budget without paying
-  /// for the rest of the window.
+  /// for the rest of the window. Children and entries are visited in slot
+  /// order, depth first. The tree must not change while a cursor is open.
   class WindowCursor {
    public:
+    /// A cursor over the ids of `tree` inside `window`.
     WindowCursor(const RStarTree* tree, Rect window);
     ~WindowCursor();
     WindowCursor(WindowCursor&&) noexcept;
@@ -104,26 +127,89 @@ class RStarTree {
   };
 
  private:
-  struct Node;
   friend class WindowCursor;
 
-  Node* ChooseSubtree(const Rect& entry_rect, size_t target_level,
-                      std::vector<Node*>* path) const;
-  void InsertAtLevel(const Rect& rect, uint32_t id, Node* subtree,
-                     size_t target_level, std::vector<bool>* reinserted);
-  void HandleOverflow(Node* node, std::vector<Node*>& path,
-                      std::vector<bool>* reinserted);
-  void SplitNode(Node* node, std::vector<Node*>& path);
-  void ReinsertEntries(Node* node, std::vector<Node*>& path,
-                       std::vector<bool>* reinserted);
-  Rect ComputeNodeRect(const Node* node) const;
-  Rect EntryRect(const Node* node, size_t idx) const;
-  void FreeTree(Node* node);
-  Node* BulkLoadLevel(std::vector<Node*> nodes);
+  /// A leaf block index, or an internal block index tagged with kInner.
+  using NodeRef = uint32_t;
+  static constexpr NodeRef kInner = 1u << 31;
+  static constexpr NodeRef kNoNode = ~NodeRef{0};
 
-  const FloatMatrix* points_;
+  /// The nodes of one kind: fixed-stride blocks addressed by index, with a
+  /// free list. Block b has `slots` entries (max_entries + 1: the extra
+  /// one holds the overflow entry before a split); entry s has a ref at
+  /// refs[b * slots + s] (a point id in a leaf, a child NodeRef in an
+  /// internal node) and `width` floats at values[(b * slots + s) * width]
+  /// (a leaf entry's K coordinates, or a child box's K lows then K highs).
+  struct Pool {
+    size_t slots = 0;
+    size_t width = 0;
+    std::vector<uint32_t> count;
+    std::vector<uint32_t> level;
+    std::vector<NodeRef> parent;
+    std::vector<uint32_t> refs;
+    std::vector<float> values;
+    std::vector<uint32_t> free_blocks;
+
+    uint32_t Allocate(uint32_t node_level);
+    void Release(uint32_t block);
+    uint32_t* Refs(uint32_t block) { return refs.data() + block * slots; }
+    const uint32_t* Refs(uint32_t block) const {
+      return refs.data() + block * slots;
+    }
+    float* Values(uint32_t block, size_t slot) {
+      return values.data() + (block * slots + slot) * width;
+    }
+    const float* Values(uint32_t block, size_t slot) const {
+      return values.data() + (block * slots + slot) * width;
+    }
+  };
+
+  static bool IsLeaf(NodeRef n) { return (n & kInner) == 0; }
+  static uint32_t BlockOf(NodeRef n) { return n & ~kInner; }
+  Pool& PoolOf(NodeRef n) { return IsLeaf(n) ? leaves_ : inner_; }
+  const Pool& PoolOf(NodeRef n) const { return IsLeaf(n) ? leaves_ : inner_; }
+  size_t Level(NodeRef n) const { return PoolOf(n).level[BlockOf(n)]; }
+  size_t Count(NodeRef n) const { return PoolOf(n).count[BlockOf(n)]; }
+  NodeRef Parent(NodeRef n) const { return PoolOf(n).parent[BlockOf(n)]; }
+  uint32_t Ref(NodeRef n, size_t slot) const {
+    return PoolOf(n).Refs(BlockOf(n))[slot];
+  }
+  /// Entry bounds: a leaf entry is the box [p, p] of its point.
+  const float* Lo(NodeRef n, size_t slot) const {
+    return PoolOf(n).Values(BlockOf(n), slot);
+  }
+  const float* Hi(NodeRef n, size_t slot) const {
+    return Lo(n, slot) + (IsLeaf(n) ? 0 : dim_);
+  }
+
+  NodeRef NewNode(size_t level);
+  void FreeNode(NodeRef n);
+  void AppendEntry(NodeRef n, uint32_t ref, const float* lo, const float* hi);
+  void MoveEntry(NodeRef n, size_t from, size_t to);
+  void EraseEntry(NodeRef n, size_t slot);
+  size_t SlotOf(NodeRef parent, NodeRef child) const;
+  Rect EntryRect(NodeRef n, size_t slot) const;
+  Rect ComputeNodeRect(NodeRef n) const;
+  Rect NodeBox(NodeRef n) const;
+  void SetNodeBox(NodeRef n, const Rect& box);
+  void ExtendNodeBox(NodeRef n, const Rect& box);
+  void Clear();
+
+  NodeRef ChooseSubtree(const Rect& entry_rect, size_t target_level) const;
+  void InsertAtLevel(const Rect& rect, uint32_t ref, size_t target_level,
+                     std::vector<bool>* reinserted);
+  void HandleOverflow(NodeRef node, std::vector<bool>* reinserted);
+  void SplitNode(NodeRef node);
+  void ReinsertEntries(NodeRef node, std::vector<bool>* reinserted);
+  void BulkLoadLevels(std::vector<NodeRef> nodes, std::vector<Rect> boxes);
+
+  size_t dim_;
   RTreeOptions options_;
-  Node* root_ = nullptr;
+  Pool leaves_;
+  Pool inner_;
+  NodeRef root_ = kNoNode;
+  Rect root_box_;
+  std::vector<uint32_t> locator_;  // point id -> leaf block, or kNoNode
   size_t size_ = 0;
 };
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <set>
 #include <tuple>
 #include <vector>
@@ -50,12 +51,12 @@ TEST_P(RTreePropertyTest, WindowQueriesMatchBruteForce) {
   const FloatMatrix points = MakeData(1200, cfg.dim);
   RTreeOptions options;
   options.max_entries = cfg.max_entries;
-  RStarTree tree(&points, options);
+  RStarTree tree(points.cols(), options);
   if (cfg.bulk) {
-    ASSERT_TRUE(tree.BulkLoadAll().ok());
+    ASSERT_TRUE(tree.BulkLoadAll(points).ok());
   } else {
     for (uint32_t i = 0; i < points.rows(); ++i) {
-      ASSERT_TRUE(tree.Insert(i).ok());
+      ASSERT_TRUE(tree.Insert(i, points.row(i)).ok());
     }
   }
   ASSERT_EQ(tree.CheckInvariants(), 0u);
@@ -79,13 +80,13 @@ TEST_P(RTreePropertyTest, MixedInsertRemoveKeepsInvariants) {
   const FloatMatrix points = MakeData(600, cfg.dim);
   RTreeOptions options;
   options.max_entries = cfg.max_entries;
-  RStarTree tree(&points, options);
+  RStarTree tree(points.cols(), options);
   Rng rng(cfg.dim * 71 + cfg.max_entries);
   std::set<uint32_t> present;
   if (cfg.bulk) {
     std::vector<uint32_t> half;
     for (uint32_t i = 0; i < 300; ++i) half.push_back(i);
-    ASSERT_TRUE(tree.BulkLoad(half).ok());
+    ASSERT_TRUE(tree.BulkLoad(points, half).ok());
     present.insert(half.begin(), half.end());
   }
   for (int op = 0; op < 800; ++op) {
@@ -94,7 +95,7 @@ TEST_P(RTreePropertyTest, MixedInsertRemoveKeepsInvariants) {
       ASSERT_TRUE(tree.Remove(id).ok()) << "remove " << id;
       present.erase(id);
     } else {
-      ASSERT_TRUE(tree.Insert(id).ok()) << "insert " << id;
+      ASSERT_TRUE(tree.Insert(id, points.row(id)).ok()) << "insert " << id;
       present.insert(id);
     }
     if (op % 100 == 99) {
@@ -115,17 +116,59 @@ TEST_P(RTreePropertyTest, MixedInsertRemoveKeepsInvariants) {
   EXPECT_EQ(got, expected);
 }
 
+TEST_P(RTreePropertyTest, PointReturnsTheStoredCoordinates) {
+  // The tree owns its points: after mixed inserts and removes, Point()
+  // returns bit-for-bit the coordinates each indexed id was given, and
+  // nullptr for every id it does not hold.
+  const Config& cfg = GetParam();
+  const FloatMatrix points = MakeData(600, cfg.dim);
+  RTreeOptions options;
+  options.max_entries = cfg.max_entries;
+  RStarTree tree(points.cols(), options);
+  Rng rng(cfg.dim * 97 + cfg.max_entries);
+  std::set<uint32_t> present;
+  if (cfg.bulk) {
+    std::vector<uint32_t> half;
+    for (uint32_t i = 0; i < 300; ++i) half.push_back(i);
+    ASSERT_TRUE(tree.BulkLoad(points, half).ok());
+    present.insert(half.begin(), half.end());
+  }
+  for (int op = 0; op < 800; ++op) {
+    const uint32_t id = static_cast<uint32_t>(rng.UniformInt(600));
+    if (present.count(id)) {
+      ASSERT_TRUE(tree.Remove(id).ok()) << "remove " << id;
+      present.erase(id);
+    } else {
+      ASSERT_TRUE(tree.Insert(id, points.row(id)).ok()) << "insert " << id;
+      present.insert(id);
+    }
+  }
+  ASSERT_EQ(tree.CheckInvariants(), 0u);
+  for (uint32_t id = 0; id < 600; ++id) {
+    const float* stored = tree.Point(id);
+    if (!present.count(id)) {
+      EXPECT_EQ(stored, nullptr) << "id " << id;
+      continue;
+    }
+    ASSERT_NE(stored, nullptr) << "id " << id;
+    EXPECT_EQ(std::memcmp(stored, points.row(id), cfg.dim * sizeof(float)),
+              0)
+        << "id " << id;
+  }
+  EXPECT_EQ(tree.Point(600), nullptr);  // never seen
+}
+
 TEST_P(RTreePropertyTest, CursorAgreesWithBatchQuery) {
   const Config& cfg = GetParam();
   const FloatMatrix points = MakeData(900, cfg.dim);
   RTreeOptions options;
   options.max_entries = cfg.max_entries;
-  RStarTree tree(&points, options);
+  RStarTree tree(points.cols(), options);
   if (cfg.bulk) {
-    ASSERT_TRUE(tree.BulkLoadAll().ok());
+    ASSERT_TRUE(tree.BulkLoadAll(points).ok());
   } else {
     for (uint32_t i = 0; i < points.rows(); ++i) {
-      ASSERT_TRUE(tree.Insert(i).ok());
+      ASSERT_TRUE(tree.Insert(i, points.row(i)).ok());
     }
   }
   Rng rng(cfg.dim * 13 + cfg.max_entries);
@@ -162,8 +205,8 @@ INSTANTIATE_TEST_SUITE_P(
 // Early-stop visitor contract, independent of the sweep.
 TEST(RTreeVisitTest, VisitorCanStopEarly) {
   const FloatMatrix points = GenerateUniform(2000, 3, 50.0, 44);
-  RStarTree tree(&points);
-  ASSERT_TRUE(tree.BulkLoadAll().ok());
+  RStarTree tree(points.cols());
+  ASSERT_TRUE(tree.BulkLoadAll(points).ok());
   Rect everything(3);
   for (size_t j = 0; j < 3; ++j) {
     everything.lo(j) = -1e9f;

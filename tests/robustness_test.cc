@@ -20,9 +20,9 @@ namespace {
 
 TEST(RebuildTest, RTreeBulkLoadReplacesPreviousContent) {
   const FloatMatrix points = GenerateUniform(500, 3, 50.0, 70);
-  rtree::RStarTree tree(&points);
-  ASSERT_TRUE(tree.BulkLoadAll().ok());
-  ASSERT_TRUE(tree.BulkLoad({1, 2, 3}).ok());  // rebuild smaller
+  rtree::RStarTree tree(points.cols());
+  ASSERT_TRUE(tree.BulkLoadAll(points).ok());
+  ASSERT_TRUE(tree.BulkLoad(points, {1, 2, 3}).ok());  // rebuild smaller
   EXPECT_EQ(tree.size(), 3u);
   EXPECT_EQ(tree.CheckInvariants(), 0u);
   rtree::Rect everything(3);

@@ -72,12 +72,12 @@ class RTreeBuildTest : public ::testing::TestWithParam<bool> {};
 TEST_P(RTreeBuildTest, WindowQueryMatchesBruteForce) {
   const bool bulk = GetParam();
   const FloatMatrix points = GenerateUniform(3000, 3, 100.0, 17);
-  RStarTree tree(&points);
+  RStarTree tree(points.cols());
   if (bulk) {
-    ASSERT_TRUE(tree.BulkLoadAll().ok());
+    ASSERT_TRUE(tree.BulkLoadAll(points).ok());
   } else {
     for (uint32_t i = 0; i < points.rows(); ++i) {
-      ASSERT_TRUE(tree.Insert(i).ok());
+      ASSERT_TRUE(tree.Insert(i, points.row(i)).ok());
     }
   }
   EXPECT_EQ(tree.size(), points.rows());
@@ -102,12 +102,12 @@ TEST_P(RTreeBuildTest, CursorEnumeratesExactlyTheWindow) {
   const bool bulk = GetParam();
   const FloatMatrix points = GenerateClustered(
       {.n = 2000, .dim = 4, .clusters = 8, .seed = 5});
-  RStarTree tree(&points);
+  RStarTree tree(points.cols());
   if (bulk) {
-    ASSERT_TRUE(tree.BulkLoadAll().ok());
+    ASSERT_TRUE(tree.BulkLoadAll(points).ok());
   } else {
     for (uint32_t i = 0; i < points.rows(); ++i) {
-      ASSERT_TRUE(tree.Insert(i).ok());
+      ASSERT_TRUE(tree.Insert(i, points.row(i)).ok());
     }
   }
   Rng rng(6);
@@ -137,8 +137,8 @@ INSTANTIATE_TEST_SUITE_P(BulkAndInsert, RTreeBuildTest, ::testing::Bool(),
 
 TEST(RTreeTest, EmptyTreeQueriesNothing) {
   FloatMatrix points(0, 2);
-  RStarTree tree(&points);
-  ASSERT_TRUE(tree.BulkLoad({}).ok());
+  RStarTree tree(points.cols());
+  ASSERT_TRUE(tree.BulkLoad(points, {}).ok());
   const float c[] = {0.f, 0.f};
   std::vector<uint32_t> out;
   tree.WindowQuery(Rect::Window(c, 2, 1000.0), &out);
@@ -152,8 +152,8 @@ TEST(RTreeTest, SinglePoint) {
   FloatMatrix points(1, 2);
   points.at(0, 0) = 5.f;
   points.at(0, 1) = 5.f;
-  RStarTree tree(&points);
-  ASSERT_TRUE(tree.Insert(0).ok());
+  RStarTree tree(points.cols());
+  ASSERT_TRUE(tree.Insert(0, points.row(0)).ok());
   const float near[] = {5.f, 5.f};
   std::vector<uint32_t> out;
   tree.WindowQuery(Rect::Window(near, 2, 1.0), &out);
@@ -163,15 +163,16 @@ TEST(RTreeTest, SinglePoint) {
 
 TEST(RTreeTest, RejectsOutOfRangeIds) {
   FloatMatrix points(10, 2);
-  RStarTree tree(&points);
-  EXPECT_FALSE(tree.Insert(10).ok());
-  EXPECT_FALSE(tree.BulkLoad({0, 1, 99}).ok());
+  RStarTree tree(points.cols());
+  ASSERT_TRUE(tree.Insert(3, points.row(3)).ok());
+  EXPECT_FALSE(tree.Insert(3, points.row(3)).ok());  // already indexed
+  EXPECT_FALSE(tree.BulkLoad(points, {0, 1, 99}).ok());
 }
 
 TEST(RTreeTest, DuplicatePointsAllRetrieved) {
   FloatMatrix points(64, 2);  // all at the origin
-  RStarTree tree(&points);
-  ASSERT_TRUE(tree.BulkLoadAll().ok());
+  RStarTree tree(points.cols());
+  ASSERT_TRUE(tree.BulkLoadAll(points).ok());
   const float c[] = {0.f, 0.f};
   std::vector<uint32_t> out;
   tree.WindowQuery(Rect::Window(c, 2, 0.5), &out);
@@ -181,8 +182,8 @@ TEST(RTreeTest, DuplicatePointsAllRetrieved) {
 
 TEST(RTreeTest, BulkLoadSubsetOnly) {
   const FloatMatrix points = GenerateUniform(100, 2, 10.0, 8);
-  RStarTree tree(&points);
-  ASSERT_TRUE(tree.BulkLoad({1, 3, 5, 7, 9}).ok());
+  RStarTree tree(points.cols());
+  ASSERT_TRUE(tree.BulkLoad(points, {1, 3, 5, 7, 9}).ok());
   EXPECT_EQ(tree.size(), 5u);
   const float c[] = {5.f, 5.f};
   std::vector<uint32_t> out;
@@ -192,8 +193,8 @@ TEST(RTreeTest, BulkLoadSubsetOnly) {
 
 TEST(RTreeTest, StatsReflectStructure) {
   const FloatMatrix points = GenerateUniform(5000, 2, 100.0, 10);
-  RStarTree tree(&points);
-  ASSERT_TRUE(tree.BulkLoadAll().ok());
+  RStarTree tree(points.cols());
+  ASSERT_TRUE(tree.BulkLoadAll(points).ok());
   const RTreeStats stats = tree.ComputeStats();
   EXPECT_EQ(stats.entry_count, 5000u);
   EXPECT_GT(stats.height, 1u);
@@ -203,9 +204,9 @@ TEST(RTreeTest, StatsReflectStructure) {
 
 TEST(RTreeTest, InsertGrowsIncrementally) {
   const FloatMatrix points = GenerateUniform(500, 2, 100.0, 12);
-  RStarTree tree(&points);
+  RStarTree tree(points.cols());
   for (uint32_t i = 0; i < 500; ++i) {
-    ASSERT_TRUE(tree.Insert(i).ok());
+    ASSERT_TRUE(tree.Insert(i, points.row(i)).ok());
     if (i % 100 == 99) {
       EXPECT_EQ(tree.CheckInvariants(), 0u) << "at " << i;
     }
@@ -215,8 +216,8 @@ TEST(RTreeTest, InsertGrowsIncrementally) {
 
 TEST(RTreeTest, RemoveDeletesAndKeepsInvariants) {
   const FloatMatrix points = GenerateUniform(800, 2, 100.0, 13);
-  RStarTree tree(&points);
-  ASSERT_TRUE(tree.BulkLoadAll().ok());
+  RStarTree tree(points.cols());
+  ASSERT_TRUE(tree.BulkLoadAll(points).ok());
   Rng rng(14);
   std::set<uint32_t> removed;
   for (int i = 0; i < 400; ++i) {
@@ -239,8 +240,8 @@ TEST(RTreeTest, RemoveDeletesAndKeepsInvariants) {
 
 TEST(RTreeTest, RemoveMissingIsNotFound) {
   const FloatMatrix points = GenerateUniform(50, 2, 10.0, 15);
-  RStarTree tree(&points);
-  ASSERT_TRUE(tree.BulkLoad({0, 1, 2}).ok());
+  RStarTree tree(points.cols());
+  ASSERT_TRUE(tree.BulkLoad(points, {0, 1, 2}).ok());
   EXPECT_EQ(tree.Remove(40).code(), StatusCode::kNotFound);
   EXPECT_TRUE(tree.Remove(1).ok());
   EXPECT_EQ(tree.Remove(1).code(), StatusCode::kNotFound);
@@ -249,8 +250,8 @@ TEST(RTreeTest, RemoveMissingIsNotFound) {
 TEST(RTreeTest, CursorEarlyStopIsCheap) {
   // The cursor contract: callers can stop consuming at any point.
   const FloatMatrix points = GenerateUniform(10000, 2, 100.0, 16);
-  RStarTree tree(&points);
-  ASSERT_TRUE(tree.BulkLoadAll().ok());
+  RStarTree tree(points.cols());
+  ASSERT_TRUE(tree.BulkLoadAll(points).ok());
   const float c[] = {50.f, 50.f};
   RStarTree::WindowCursor cursor(&tree, Rect::Window(c, 2, 200.0));
   uint32_t id;
@@ -261,8 +262,8 @@ TEST(RTreeTest, CursorEarlyStopIsCheap) {
 TEST(RTreeTest, HigherDimensionalWindows) {
   const FloatMatrix points = GenerateClustered(
       {.n = 1500, .dim = 10, .clusters = 10, .seed = 18});
-  RStarTree tree(&points);
-  ASSERT_TRUE(tree.BulkLoadAll().ok());
+  RStarTree tree(points.cols());
+  ASSERT_TRUE(tree.BulkLoadAll(points).ok());
   Rng rng(19);
   for (int trial = 0; trial < 20; ++trial) {
     const uint32_t anchor = static_cast<uint32_t>(rng.UniformInt(1500));
@@ -280,8 +281,8 @@ TEST(RTreeTest, HigherDimensionalWindows) {
 
 TEST(RTreeTest, MoveTransfersOwnership) {
   const FloatMatrix points = GenerateUniform(200, 2, 10.0, 20);
-  RStarTree tree(&points);
-  ASSERT_TRUE(tree.BulkLoadAll().ok());
+  RStarTree tree(points.cols());
+  ASSERT_TRUE(tree.BulkLoadAll(points).ok());
   RStarTree moved = std::move(tree);
   EXPECT_EQ(moved.size(), 200u);
   EXPECT_EQ(moved.CheckInvariants(), 0u);
@@ -291,8 +292,8 @@ TEST(RTreeTest, SmallFanoutStressesSplits) {
   RTreeOptions options;
   options.max_entries = 4;
   const FloatMatrix points = GenerateUniform(600, 2, 50.0, 21);
-  RStarTree tree(&points, options);
-  for (uint32_t i = 0; i < 600; ++i) ASSERT_TRUE(tree.Insert(i).ok());
+  RStarTree tree(points.cols(), options);
+  for (uint32_t i = 0; i < 600; ++i) ASSERT_TRUE(tree.Insert(i, points.row(i)).ok());
   EXPECT_EQ(tree.CheckInvariants(), 0u);
   const float c[] = {25.f, 25.f};
   std::vector<uint32_t> out;
