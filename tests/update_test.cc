@@ -10,6 +10,8 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <utility>
@@ -234,6 +236,22 @@ TEST(InsertTest, ProtocolViolationsAreRejected) {
   EXPECT_EQ(kd.Erase(0).code(), StatusCode::kUnimplemented);
 }
 
+TEST(InsertTest, InsertOfAnIndexedIdIsRejected) {
+  // A second Insert of a live, indexed row would add a second entry to
+  // every tree (and strand it under a stale box once the slot recycles).
+  FloatMatrix data = EasyData(2000, 16);
+  DbLsh index;
+  ASSERT_TRUE(index.Build(&data).ok());
+  const size_t entries = index.IndexEntries();
+  ASSERT_EQ(entries, 5u * 2000u);
+  EXPECT_EQ(index.Insert(5).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(index.IndexEntries(), entries);  // no tree changed
+  ASSERT_TRUE(data.EraseRow(5).ok());
+  EXPECT_TRUE(index.Erase(5).ok());
+  EXPECT_EQ(index.IndexEntries(), entries - 5u);
+  EXPECT_EQ(index.Erase(5).code(), StatusCode::kNotFound);
+}
+
 // ------------------------------------------------------- Persistence ------
 
 TEST(UpdatePersistenceTest, SaveLoadRoundTripsMutations) {
@@ -284,6 +302,58 @@ TEST(UpdatePersistenceTest, SaveLoadRoundTripsMutations) {
     EXPECT_FALSE(ContainsId(b, 50));
   }
   std::remove(path.c_str());
+}
+
+std::vector<uint8_t> FileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+TEST(UpdatePersistenceTest, SaveOfALoadedIndexIsByteIdentical) {
+  FloatMatrix data = EasyData(600, 16);
+  DbLsh original;
+  ASSERT_TRUE(original.Build(&data).ok());
+  // Mutate: erase, recycle one erased slot, append.
+  for (uint32_t id : {7u, 70u, 400u}) {
+    ASSERT_TRUE(data.EraseRow(id).ok());
+    ASSERT_TRUE(original.Erase(id).ok());
+  }
+  const std::vector<float> outlier = OutlierVector(16);
+  const uint32_t recycled = data.InsertRow(outlier.data(), 16);
+  ASSERT_EQ(recycled, 400u);
+  ASSERT_TRUE(original.Insert(recycled).ok());
+  const std::vector<float> far = OutlierVector(16, -300.f);
+  data.AppendRow(far.data(), 16);  // past the free list: ids 7, 70 stay dead
+  ASSERT_TRUE(original.Insert(600).ok());
+
+  const std::string first = TempPath("dblsh_resave_first.idx");
+  const std::string second = TempPath("dblsh_resave_second.idx");
+  ASSERT_TRUE(original.Save(first).ok());
+  FloatMatrix reread(data.rows(), data.cols(), data.data());
+  auto loaded = DbLsh::Load(first, &reread);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ASSERT_TRUE(loaded.value().Save(second).ok());
+  const std::vector<uint8_t> first_bytes = FileBytes(first);
+  ASSERT_FALSE(first_bytes.empty());
+  EXPECT_EQ(first_bytes, FileBytes(second));
+
+  // The loaded trees hold the same points: a lookup of every live row (a
+  // radius too small for any other point) finds the same id in both.
+  QueryRequest lookup;
+  lookup.k = 1;
+  lookup.r0 = 1e-6;
+  lookup.candidate_budget = 1 << 20;
+  for (uint32_t id = 0; id < data.rows(); ++id) {
+    if (data.IsDeleted(id)) continue;
+    const auto want = original.Search(data.row(id), lookup).neighbors;
+    const auto got = loaded.value().Search(reread.row(id), lookup).neighbors;
+    ASSERT_EQ(want.size(), 1u) << id;
+    ASSERT_EQ(got.size(), 1u) << id;
+    EXPECT_EQ(got[0].id, want[0].id) << id;
+    EXPECT_EQ(got[0].id, id);
+  }
+  std::remove(first.c_str());
+  std::remove(second.c_str());
 }
 
 TEST(UpdatePersistenceTest, LoadRejectsTamperedDataByChecksum) {
