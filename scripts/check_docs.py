@@ -4,7 +4,7 @@
 1. Intra-repo markdown link check: every relative link target in a *.md
    file must exist (http/mailto/pure-anchor links are skipped).
 2. Doc-comment coverage over the public headers: every public function
-   declaration in src/{core,exec,serve,simd,replication}/*.h must be
+   declaration in src/{core,exec,serve,simd,replication,rtree}/*.h must be
    preceded by a `///` contract comment.
 
 Exit code 0 when both gates pass; 1 with a listing of violations.
@@ -48,7 +48,7 @@ def check_markdown_links():
 # -------------------------------------------------------- doc coverage ----
 
 HEADER_GLOBS = ("src/core", "src/exec", "src/serve", "src/simd",
-                "src/replication")
+                "src/replication", "src/rtree")
 
 # A line that starts a function declaration/definition at class-public or
 # namespace scope in this codebase's style (2-space members, 0-space free
@@ -71,22 +71,41 @@ NOT_DECL = re.compile(
 )
 
 
+def code_braces(line):
+    """Net brace count of a line, ignoring comments and literals."""
+    code = re.sub(r"//.*", "", line)
+    code = re.sub(r"\"(?:\\.|[^\"\\])*\"|'(?:\\.|[^'\\])*'", "", code)
+    return code.count("{") - code.count("}")
+
+
 def public_decl_lines(lines):
     """Yield (index, line) for public declarations needing a /// comment."""
-    access = "file"  # namespace scope counts as public
+    # One entry per enclosing class body: [access, brace depth inside it].
+    # Namespace scope counts as public; a member is public only when every
+    # enclosing class body is, so a nested class's end restores the outer
+    # class's access instead of resetting to file scope.
+    scopes = []
+    depth = 0
+    pending = None  # access of a class head whose "{" is still to come
     for i, line in enumerate(lines):
         stripped = line.strip()
-        if re.match(r"^(class|struct)\s+\w+", stripped) and "; " not in stripped:
-            # Class bodies default private, struct bodies public; track the
-            # explicit specifiers instead of perfect brace parsing.
-            access = "private" if stripped.startswith("class") else "public"
-        if stripped in ("public:", "protected:"):
-            access = "public" if stripped == "public:" else "private"
-        elif stripped == "private:":
-            access = "private"
-        elif stripped.startswith("};"):
-            access = "file"
-        if access == "private":
+        opens_class = (re.match(r"^(class|struct)\s+\w+", stripped)
+                       and not stripped.endswith(";"))
+        if opens_class:
+            # Class bodies default private, struct bodies public.
+            pending = "private" if stripped.startswith("class") else "public"
+        if scopes and stripped in ("public:", "protected:", "private:"):
+            scopes[-1][0] = "public" if stripped == "public:" else "private"
+        visible = all(access == "public" for access, _ in scopes)
+        delta = code_braces(line)
+        if pending is not None and "{" in re.sub(r"//.*", "", line):
+            if delta > 0:  # else the whole body sits on this line
+                scopes.append([pending, depth + 1])
+            pending = None
+        depth += delta
+        while scopes and depth < scopes[-1][1]:
+            scopes.pop()
+        if opens_class or not visible:
             continue
         if not DECL.match(line) or NOT_DECL.search(line):
             continue
@@ -140,7 +159,7 @@ def main():
             print("  " + e)
         return 1
     print("docs check passed: markdown links resolve, "
-          "core/exec/serve/simd/replication headers are documented")
+          "core/exec/serve/simd/replication/rtree headers are documented")
     return 0
 
 
