@@ -10,21 +10,6 @@
 
 namespace dblsh::rtree {
 
-namespace {
-
-/// Grows `v` by `n` elements. Capacity grows by an eighth instead of
-/// doubling, so the first split after an exactly-sized bulk load does not
-/// double the arena.
-template <typename T>
-void GrowBy(std::vector<T>* v, size_t n, T value) {
-  if (v->size() + n > v->capacity()) {
-    v->reserve(v->size() + std::max(n, v->size() / 8));
-  }
-  v->resize(v->size() + n, value);
-}
-
-}  // namespace
-
 // ---------------------------------------------------------------------------
 // Node arena
 // ---------------------------------------------------------------------------
@@ -36,11 +21,15 @@ uint32_t RStarTree::Pool::Allocate(uint32_t node_level) {
     free_blocks.pop_back();
   } else {
     block = static_cast<uint32_t>(count.size());
-    GrowBy(&count, 1, 0u);
-    GrowBy(&level, 1, 0u);
-    GrowBy(&parent, 1, kNoNode);
-    GrowBy(&refs, slots, 0u);
-    GrowBy(&values, slots * width, 0.f);
+    if (block % kPageBlocks == 0) {
+      ref_pages.push_back(
+          std::make_unique_for_overwrite<uint32_t[]>(kPageBlocks * slots));
+      value_pages.push_back(std::make_unique_for_overwrite<float[]>(
+          kPageBlocks * slots * width));
+    }
+    count.push_back(0);
+    level.push_back(0);
+    parent.push_back(kNoNode);
   }
   count[block] = 0;
   level[block] = node_level;
@@ -277,12 +266,6 @@ Status RStarTree::BulkLoad(const FloatMatrix& points,
         &groups);
   }
 
-  const size_t slots = leaves_.slots;
-  leaves_.count.reserve(groups.size());
-  leaves_.level.reserve(groups.size());
-  leaves_.parent.reserve(groups.size());
-  leaves_.refs.reserve(groups.size() * slots);
-  leaves_.values.reserve(groups.size() * slots * dim_);
   std::vector<NodeRef> leaves;
   std::vector<Rect> boxes;
   leaves.reserve(groups.size());

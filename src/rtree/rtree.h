@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "dataset/float_matrix.h"
@@ -38,10 +39,10 @@ struct RTreeStats {
 /// of one DB-LSH compound hash G_i). The tree owns its points: a leaf
 /// stores each entry's id and coordinates inline, and an internal node
 /// stores its children's boxes inline, so a window query reads only the
-/// nodes it tests. Nodes live in one arena per node kind, addressed by
-/// index, with a free list; a dense id -> leaf locator (4 bytes per id up
-/// to the largest) lets Remove() and Point() find an entry without its
-/// coordinates.
+/// nodes it tests. Nodes live in an arena addressed by index, with a free
+/// list (one pool per node kind); a dense id -> leaf locator (4 bytes per
+/// id up to the largest) lets Remove() and Point() find an entry without
+/// its coordinates.
 ///
 /// Supports both one-by-one R* insertion (ChooseSubtree + forced reinsert +
 /// R* topological split) and Sort-Tile-Recursive bulk loading — the paper
@@ -136,31 +137,42 @@ class RStarTree {
 
   /// The nodes of one kind: fixed-stride blocks addressed by index, with a
   /// free list. Block b has `slots` entries (max_entries + 1: the extra
-  /// one holds the overflow entry before a split); entry s has a ref at
-  /// refs[b * slots + s] (a point id in a leaf, a child NodeRef in an
-  /// internal node) and `width` floats at values[(b * slots + s) * width]
-  /// (a leaf entry's K coordinates, or a child box's K lows then K highs).
+  /// one holds the overflow entry before a split); entry s has a ref (a
+  /// point id in a leaf, a child NodeRef in an internal node) and `width`
+  /// floats (a leaf entry's K coordinates, or a child box's K lows then K
+  /// highs). Blocks live in pages of kPageBlocks, so the arena grows
+  /// without moving a block, in allocations small enough for the heap to
+  /// place in memory that other large buffers freed.
   struct Pool {
+    static constexpr uint32_t kPageShift = 5;
+    static constexpr uint32_t kPageBlocks = 1u << kPageShift;
+
     size_t slots = 0;
     size_t width = 0;
     std::vector<uint32_t> count;
     std::vector<uint32_t> level;
     std::vector<NodeRef> parent;
-    std::vector<uint32_t> refs;
-    std::vector<float> values;
+    std::vector<std::unique_ptr<uint32_t[]>> ref_pages;
+    std::vector<std::unique_ptr<float[]>> value_pages;
     std::vector<uint32_t> free_blocks;
 
     uint32_t Allocate(uint32_t node_level);
     void Release(uint32_t block);
-    uint32_t* Refs(uint32_t block) { return refs.data() + block * slots; }
+    uint32_t* Refs(uint32_t block) {
+      return ref_pages[block >> kPageShift].get() +
+             (block & (kPageBlocks - 1)) * slots;
+    }
     const uint32_t* Refs(uint32_t block) const {
-      return refs.data() + block * slots;
+      return ref_pages[block >> kPageShift].get() +
+             (block & (kPageBlocks - 1)) * slots;
     }
     float* Values(uint32_t block, size_t slot) {
-      return values.data() + (block * slots + slot) * width;
+      return value_pages[block >> kPageShift].get() +
+             ((block & (kPageBlocks - 1)) * slots + slot) * width;
     }
     const float* Values(uint32_t block, size_t slot) const {
-      return values.data() + (block * slots + slot) * width;
+      return value_pages[block >> kPageShift].get() +
+             ((block & (kPageBlocks - 1)) * slots + slot) * width;
     }
   };
 
