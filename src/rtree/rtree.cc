@@ -75,8 +75,6 @@ RStarTree& RStarTree::operator=(RStarTree&& other) noexcept {
   return *this;
 }
 
-void RStarTree::Clear() { *this = RStarTree(dim_, options_); }
-
 RStarTree::NodeRef RStarTree::NewNode(size_t level) {
   if (level == 0) return leaves_.Allocate(0);
   return inner_.Allocate(static_cast<uint32_t>(level)) | kInner;
@@ -248,7 +246,7 @@ Status RStarTree::BulkLoad(const FloatMatrix& points,
     }
     locator[id] = 0;
   }
-  Clear();
+  *this = RStarTree(dim_, options_);  // drop any existing content
   locator_ = std::move(locator);
   size_ = ids.size();
   if (ids.empty()) {

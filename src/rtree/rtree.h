@@ -205,7 +205,6 @@ class RStarTree {
   Rect NodeBox(NodeRef n) const;
   void SetNodeBox(NodeRef n, const Rect& box);
   void ExtendNodeBox(NodeRef n, const Rect& box);
-  void Clear();
 
   NodeRef ChooseSubtree(const Rect& entry_rect, size_t target_level) const;
   void InsertAtLevel(const Rect& rect, uint32_t ref, size_t target_level,
