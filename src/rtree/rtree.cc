@@ -27,9 +27,9 @@ uint32_t RStarTree::Pool::Allocate(uint32_t node_level) {
       value_pages.push_back(std::make_unique_for_overwrite<float[]>(
           kPageBlocks * slots * width));
     }
-    count.push_back(0);
-    level.push_back(0);
-    parent.push_back(kNoNode);
+    count.emplace_back();
+    level.emplace_back();
+    parent.emplace_back();
   }
   count[block] = 0;
   level[block] = node_level;
@@ -37,10 +37,7 @@ uint32_t RStarTree::Pool::Allocate(uint32_t node_level) {
   return block;
 }
 
-void RStarTree::Pool::Release(uint32_t block) {
-  count[block] = 0;
-  free_blocks.push_back(block);
-}
+void RStarTree::Pool::Release(uint32_t block) { free_blocks.push_back(block); }
 
 RStarTree::RStarTree(size_t dim, RTreeOptions options)
     : dim_(dim), options_(options), root_box_(dim) {
