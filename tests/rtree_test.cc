@@ -293,7 +293,9 @@ TEST(RTreeTest, SmallFanoutStressesSplits) {
   options.max_entries = 4;
   const FloatMatrix points = GenerateUniform(600, 2, 50.0, 21);
   RStarTree tree(points.cols(), options);
-  for (uint32_t i = 0; i < 600; ++i) ASSERT_TRUE(tree.Insert(i, points.row(i)).ok());
+  for (uint32_t i = 0; i < 600; ++i) {
+    ASSERT_TRUE(tree.Insert(i, points.row(i)).ok());
+  }
   EXPECT_EQ(tree.CheckInvariants(), 0u);
   const float c[] = {25.f, 25.f};
   std::vector<uint32_t> out;
