@@ -1,14 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "baselines/fb_lsh.h"
 #include "core/db_lsh.h"
 #include "dataset/ground_truth.h"
 #include "dataset/synthetic.h"
+#include "dataset/vector_store.h"
 #include "eval/metrics.h"
 #include "simd/simd.h"
 #include "util/bytes.h"
@@ -341,12 +344,19 @@ class CandidateStreamTest : public ::testing::Test {
 
   static FloatMatrix Data() { return EasyData(2000, 24, 61); }
 
+  /// Query q of the pinned 50: a data row nudged off-grid, so it is not
+  /// an indexed point.
+  static std::vector<float> Probe(const FloatMatrix& data, uint32_t q) {
+    const uint32_t row = (q * 37 + 11) % 2000;
+    std::vector<float> query(data.row(row), data.row(row) + data.cols());
+    query[q % data.cols()] += 0.5f;
+    return query;
+  }
+
   static uint64_t Digest(const DbLsh& index, const FloatMatrix& data) {
     std::vector<uint64_t> words;
     for (uint32_t q = 0; q < 50; ++q) {
-      const uint32_t row = (q * 37 + 11) % 2000;
-      std::vector<float> query(data.row(row), data.row(row) + data.cols());
-      query[q % data.cols()] += 0.5f;  // off-grid: not an indexed point
+      const std::vector<float> query = Probe(data, q);
       QueryRequest request;
       request.k = 10;
       std::vector<uint32_t> ids;
@@ -361,6 +371,47 @@ class CandidateStreamTest : public ::testing::Test {
       words.push_back(response.stats.rounds);
       words.push_back(response.stats.window_queries);
       for (const Neighbor& n : response.neighbors) words.push_back(n.id);
+    }
+    return util::Fnv1a64(util::BytesOf(words));
+  }
+
+  /// The verify output over a store of `kind` (pq: m = 8), with the index
+  /// built under a decode view as Collection builds it. Each query runs
+  /// twice: through the pass-through filter (candidate ids in arrival
+  /// order, plus the stats), then unfiltered (each answer's id and the
+  /// bits of its distance, so the store's scores are pinned, not just
+  /// their order).
+  static uint64_t StoreDigest(StorageKind kind) {
+    const FloatMatrix data = Data();
+    auto store =
+        MakeVectorStore(kind, std::make_unique<FloatMatrix>(data), 8);
+    DbLsh index;
+    {
+      ScopedDecodeView view(store.get());
+      EXPECT_TRUE(index.Build(&store->matrix()).ok());
+    }
+    std::vector<uint64_t> words;
+    for (uint32_t q = 0; q < 50; ++q) {
+      const std::vector<float> query = Probe(data, q);
+      QueryRequest request;
+      request.k = 10;
+      std::vector<uint32_t> ids;
+      request.filter = QueryFilter::Of([&ids](uint32_t id) {
+        ids.push_back(id);
+        return true;
+      });
+      const QueryStats stats = index.Search(query.data(), request).stats;
+      words.insert(words.end(), ids.begin(), ids.end());
+      words.push_back(stats.candidates_verified);
+      words.push_back(stats.points_accessed);
+      words.push_back(stats.rounds);
+      words.push_back(stats.window_queries);
+      request.filter = QueryFilter();
+      for (const Neighbor& n :
+           index.Search(query.data(), request).neighbors) {
+        words.push_back(n.id);
+        words.push_back(std::bit_cast<uint32_t>(n.dist));
+      }
     }
     return util::Fnv1a64(util::BytesOf(words));
   }
@@ -407,6 +458,18 @@ TEST_F(CandidateStreamTest, BulkLoadedThenMutated) {
     ASSERT_TRUE(index.Insert(id).ok()) << id;
   }
   EXPECT_EQ(Digest(index, data), 0xcf0fc371cc5ebb7full);
+}
+
+TEST_F(CandidateStreamTest, Fp32Store) {
+  EXPECT_EQ(StoreDigest(StorageKind::kFp32), 0xaa47a9d46025c6b0ull);
+}
+
+TEST_F(CandidateStreamTest, Sq8Store) {
+  EXPECT_EQ(StoreDigest(StorageKind::kSq8), 0x42edc9ba5c3c73f5ull);
+}
+
+TEST_F(CandidateStreamTest, PqStore) {
+  EXPECT_EQ(StoreDigest(StorageKind::kPq), 0xa743a99d816ab9e3ull);
 }
 
 }  // namespace
