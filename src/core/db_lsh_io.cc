@@ -29,6 +29,7 @@
 // serving wrong neighbors. Tombstones are re-applied to the caller's
 // dataset on load, restoring the free-list in its original order so
 // InsertRow keeps recycling deterministically.
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
@@ -221,16 +222,24 @@ Result<DbLsh> DbLsh::LoadIndexBody(util::PodReader* in,
       !in->Read(&params.early_stop_slack)) {
     return Status::Corruption(path + ": truncated parameters");
   }
+  // Only what Build() can produce loads: known enum bytes, the ranges it
+  // enforces (c > 1, slack >= 1) or derives (w0, k, t, auto_r0 > 0), and
+  // finite reals.
+  if (bucketing > static_cast<uint8_t>(BucketingMode::kFixedGrid) ||
+      backend > static_cast<uint8_t>(IndexBackend::kKdTree) || l == 0 ||
+      k == 0 || t == 0 || !std::isfinite(params.c) || params.c <= 1.0 ||
+      !std::isfinite(params.w0) || params.w0 <= 0.0 ||
+      !std::isfinite(auto_r0) || auto_r0 <= 0.0 ||
+      !std::isfinite(params.early_stop_slack) ||
+      params.early_stop_slack < 1.0) {
+    return Status::Corruption(path + ": invalid stored parameters");
+  }
   params.k = k;
   params.l = l;
   params.t = t;
   params.seed = seed;
   params.bucketing = static_cast<BucketingMode>(bucketing);
   params.backend = static_cast<IndexBackend>(backend);
-  if (params.l == 0 || params.k == 0 || params.c <= 1.0 ||
-      params.w0 <= 0.0) {
-    return Status::Corruption(path + ": invalid stored parameters");
-  }
 
   auto directions = ReadMatrix(in, "projection directions");
   if (!directions.ok()) return directions.status();

@@ -12,8 +12,10 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/collection.h"
@@ -748,6 +750,72 @@ TEST(StorePersistenceTest, CraftedIndexFilesAreCorruptionNotBadAlloc) {
       << against_store.status().ToString();
   std::remove(lying_matrix.c_str());
   std::remove(lying_params.c_str());
+}
+
+// Stored parameters that Build() never produces are Corruption, not a
+// different index: an unknown bucketing or backend byte, t = 0,
+// auto_r0 <= 0, early_stop_slack < 1, or a non-finite c, w0, auto_r0 or
+// early_stop_slack. Each case patches one field of a saved fp32 index at
+// its docs/API.md offset.
+TEST(StorePersistenceTest, LoadRejectsStoredParametersBuildNeverWrites) {
+  FloatMatrix data = RandomMatrix(64, 4, 73);
+  DbLsh index;
+  ASSERT_TRUE(index.Build(&data).ok());
+  const std::string path = TempPath("store_bad_params.idx");
+  ASSERT_TRUE(index.Save(path).ok());
+  const std::vector<uint8_t> saved = ReadAll(path);
+  // magic | u32 version | u8 tag | u64 n | u64 dim | u64 checksum (fp32:
+  // no store params), then f64 c | f64 w0 | u64 k | u64 l | u64 t |
+  // u64 seed | u8 bucketing | u8 backend | f64 auto_r0 |
+  // f64 early_stop_slack.
+  constexpr size_t kC = 37, kW0 = 45, kT = 69, kBucketing = 85,
+                   kBackend = 86, kAutoR0 = 87, kSlack = 95;
+  auto field = [&saved](size_t offset, auto value) {
+    std::memcpy(&value, saved.data() + offset, sizeof(value));
+    return value;
+  };
+  ASSERT_EQ(field(kC, 0.0), index.params().c);
+  ASSERT_EQ(field(kW0, 0.0), index.params().w0);
+  ASSERT_EQ(field(kT, uint64_t{0}), index.params().t);
+  ASSERT_EQ(field(kBucketing, uint8_t{9}), 0);
+  ASSERT_EQ(field(kBackend, uint8_t{9}), 0);
+  ASSERT_GT(field(kAutoR0, 0.0), 0.0);
+  ASSERT_EQ(field(kSlack, 0.0), index.params().early_stop_slack);
+
+  auto patched = [&saved](size_t offset, auto value) {
+    std::vector<uint8_t> bytes = saved;
+    std::memcpy(bytes.data() + offset, &value, sizeof(value));
+    return bytes;
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::pair<const char*, std::vector<uint8_t>> files[] = {
+      {"bucketing = 2", patched(kBucketing, uint8_t{2})},
+      {"backend = 2", patched(kBackend, uint8_t{2})},
+      {"t = 0", patched(kT, uint64_t{0})},
+      {"auto_r0 = 0", patched(kAutoR0, 0.0)},
+      {"auto_r0 = -1", patched(kAutoR0, -1.0)},
+      {"early_stop_slack = 0.5", patched(kSlack, 0.5)},
+      {"c = nan", patched(kC, nan)},
+      {"c = inf", patched(kC, inf)},
+      {"w0 = nan", patched(kW0, nan)},
+      {"w0 = inf", patched(kW0, inf)},
+      {"auto_r0 = nan", patched(kAutoR0, nan)},
+      {"auto_r0 = inf", patched(kAutoR0, inf)},
+      {"early_stop_slack = nan", patched(kSlack, nan)},
+      {"early_stop_slack = inf", patched(kSlack, inf)},
+  };
+  for (const auto& [what, bytes] : files) {
+    SCOPED_TRACE(what);
+    WriteAll(path, bytes);
+    auto loaded = DbLsh::Load(path, &data);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption)
+        << loaded.status().ToString();
+  }
+  WriteAll(path, saved);
+  EXPECT_TRUE(DbLsh::Load(path, &data).ok());
+  std::remove(path.c_str());
 }
 
 // Pins the two on-disk layouts that embed a store section — the v4 index
