@@ -1,25 +1,11 @@
 #include "core/ann_index.h"
 
-#include <algorithm>
-
 #include "core/verify.h"
 #include "exec/task_executor.h"
 
 namespace dblsh {
 
 namespace detail {
-
-void FanOut(size_t count, size_t num_threads,
-            const std::function<std::function<void(size_t)>()>& make_worker) {
-  if (count == 0) return;
-  if (num_threads <= 1) {
-    const std::function<void(size_t)> work = make_worker();
-    for (size_t i = 0; i < count; ++i) work(i);
-    return;
-  }
-  exec::TaskExecutor::Default().ParallelForWorkers(count, num_threads,
-                                                   make_worker);
-}
 
 Status ValidateRebind(const std::string& method, const FloatMatrix* current,
                       const FloatMatrix* target) {
@@ -81,22 +67,16 @@ QueryResponse AnnIndex::Search(const float* query,
 std::vector<QueryResponse> AnnIndex::QueryBatch(const FloatMatrix& queries,
                                                 const QueryRequest& request,
                                                 size_t num_threads) const {
-  const size_t q_count = queries.rows();
-  std::vector<QueryResponse> responses(q_count);
-  if (q_count == 0) return responses;
-
+  std::vector<QueryResponse> responses(queries.rows());
   if (!SupportsConcurrentQueries()) {
     num_threads = 1;
   } else if (num_threads == 0) {
     num_threads = exec::HardwareConcurrency();
   }
-  num_threads = std::min(num_threads, q_count);
-
-  detail::FanOut(q_count, num_threads, [&]() {
-    return [this, &queries, &request, &responses](size_t q) {
-      responses[q] = Search(queries.row(q), request);
-    };
-  });
+  exec::TaskExecutor::Default().ParallelFor(
+      responses.size(),
+      [&](size_t q) { responses[q] = Search(queries.row(q), request); },
+      num_threads);
   return responses;
 }
 

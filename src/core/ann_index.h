@@ -2,7 +2,6 @@
 #define DBLSH_CORE_ANN_INDEX_H_
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -57,14 +56,16 @@ class AnnIndex {
                                const QueryRequest& request) const;
 
   /// Answers every row of `queries` under one request; responses are in
-  /// query order. The base implementation fans the rows out over
-  /// `num_threads` workers when the index declares its read path
-  /// thread-safe (SupportsConcurrentQueries) and degrades to a sequential
-  /// loop otherwise, so it is always safe to call. `num_threads = 0` uses
-  /// the hardware concurrency; pass 1 when timing per-query latency.
-  virtual std::vector<QueryResponse> QueryBatch(const FloatMatrix& queries,
-                                                const QueryRequest& request,
-                                                size_t num_threads = 0) const;
+  /// query order and equal per-row Search() calls. The rows run as
+  /// Search() calls on the default executor (TaskExecutor::Default()'s
+  /// ParallelFor) at a parallelism of `num_threads` when the index declares
+  /// its read path thread-safe (SupportsConcurrentQueries), and as a
+  /// sequential loop on the caller otherwise, so it is always safe to
+  /// call. `num_threads = 0` uses the hardware concurrency; pass 1 when
+  /// timing per-query latency.
+  std::vector<QueryResponse> QueryBatch(const FloatMatrix& queries,
+                                        const QueryRequest& request,
+                                        size_t num_threads = 0) const;
 
   /// True when concurrent Search() calls on one built index are safe. The
   /// default is false: most LSH baselines keep epoch-stamped per-query
@@ -141,16 +142,6 @@ namespace detail {
 /// pointer swap sound — and is not re-verified here.
 Status ValidateRebind(const std::string& method, const FloatMatrix* current,
                       const FloatMatrix* target);
-
-/// Shared fan-out behind the QueryBatch implementations: runs `work(i)` for
-/// every i in [0, count) at a parallelism of `num_threads`, where
-/// `make_worker()` is called once per participating thread so each can
-/// capture its own per-thread state (e.g. a DbLsh::QueryScratch).
-/// `num_threads <= 1` runs inline. Since the executor refactor this is a
-/// thin shim over exec::TaskExecutor::Default().ParallelForWorkers — no
-/// code outside src/exec/ spawns threads.
-void FanOut(size_t count, size_t num_threads,
-            const std::function<std::function<void(size_t)>()>& make_worker);
 
 }  // namespace detail
 

@@ -400,10 +400,14 @@ class Collection {
   Result<QueryResponse> Search(const float* query, const QueryRequest& request,
                                const std::string& index_name = "") const;
 
-  /// Batched Search over every row of `queries`; fans the (query x shard)
-  /// grid out on the executor when the serving index supports concurrent
-  /// queries. `num_threads = 0` uses hardware concurrency; pass 1 when
-  /// timing per-query latency.
+  /// Batched Search over every row of `queries`: response q equals
+  /// Search(queries.row(q), request, index_name). The (query x shard) grid
+  /// always runs on the collection's executor, at most `num_threads` cells
+  /// at a time, each cell one shard's SearchShard; cells on a
+  /// thread-compatible slot (SupportsConcurrentQueries() == false)
+  /// serialize on its query lock. `num_threads = 0` uses hardware
+  /// concurrency; pass 1 when timing per-query latency. A zero-row batch
+  /// returns no responses, built or not.
   Result<std::vector<QueryResponse>> SearchBatch(
       const FloatMatrix& queries, const QueryRequest& request,
       const std::string& index_name = "", size_t num_threads = 0) const;

@@ -166,35 +166,12 @@ Result<std::vector<QueryResponse>> Collection::SearchBatch(
         std::to_string(dim_));
   }
   const size_t num_shards = shards_.size();
-  if (num_shards == 1) {
-    // One shard: the index's own QueryBatch keeps per-worker query scratch
-    // and takes a thread-compatible slot's query lock once per batch.
-    const Shard& shard = *shards_[0];
-    std::shared_lock lock(shard.mutex);
-    Status why = Status::OK();
-    const int route = RouteLocked(shard, index_name, &why);
-    if (route < 0) return why;
-    const Slot& slot = shard.slots[static_cast<size_t>(route)];
-    QueryRequest local;
-    std::vector<QueryResponse> responses;
-    {
-      const auto serialize = QueryLock(slot);
-      responses = slot.index->QueryBatch(
-          queries, ShardRequest(0, request, &local), num_threads);
-    }
-    if (quantized_) {
-      for (size_t q = 0; q < responses.size(); ++q) {
-        RerankLocked(shard, queries.row(q), request.k, &responses[q]);
-      }
-    }
-    return responses;
-  }
-
   const size_t q_count = queries.rows();
-  if (q_count == 0) return std::vector<QueryResponse>{};
   if (num_threads == 0) num_threads = exec::HardwareConcurrency();
-  // Grid fan-out: every (query, shard) cell is an independent task, so a
-  // slow shard never stalls the other shards' progress on later queries.
+  // Grid fan-out on the collection's executor: every (query, shard) cell
+  // is an independent SearchShard task, so a slow shard never stalls the
+  // other shards' progress on later queries, and a batch answers exactly
+  // what per-row Search calls would.
   std::vector<ShardAnswer> cells(q_count * num_shards);
   executor_->ParallelFor(
       cells.size(),

@@ -7,8 +7,6 @@
 #include <numeric>
 
 #include "core/index_factory.h"
-#include "exec/task_executor.h"
-
 #include "dataset/ground_truth.h"
 #include "util/distance.h"
 #include "util/random.h"
@@ -132,25 +130,17 @@ Status DbLsh::Build(const FloatMatrix* data) {
   return Status::OK();
 }
 
-DbLsh::QueryScratch& DbLsh::ThreadLocalScratch() {
-  // Shared across instances on the thread; PrepareScratch re-sizes on row
-  // count mismatch (e.g. after a rebuild or when alternating indexes) and
-  // the monotone epoch keeps stale stamps inert.
-  static thread_local QueryScratch scratch;
+DbLsh::Scratch& DbLsh::ThreadLocalScratch() const {
+  static thread_local Scratch scratch;
+  if (scratch.visited.size() != data_->rows()) {
+    scratch.visited.assign(data_->rows(), 0);
+    scratch.epoch = 0;
+  }
+  if (++scratch.epoch == 0) {  // epoch wrapped: reset stamps
+    std::fill(scratch.visited.begin(), scratch.visited.end(), 0);
+    scratch.epoch = 1;
+  }
   return scratch;
-}
-
-uint32_t DbLsh::PrepareScratch(QueryScratch* scratch) const {
-  if (scratch->visited_epoch_.size() != data_->rows()) {
-    scratch->visited_epoch_.assign(data_->rows(), 0);
-    scratch->epoch_ = 0;
-  }
-  if (++scratch->epoch_ == 0) {  // epoch wrapped: reset stamps
-    std::fill(scratch->visited_epoch_.begin(),
-              scratch->visited_epoch_.end(), 0);
-    scratch->epoch_ = 1;
-  }
-  return scratch->epoch_;
 }
 
 rtree::Rect DbLsh::MakeBucket(const float* proj_center, size_t tree_index,
@@ -234,13 +224,7 @@ bool DbLsh::RunRound(const float* query, double r,
 
 std::vector<Neighbor> DbLsh::Query(const float* query, size_t k,
                                    QueryStats* stats) const {
-  return Query(query, k, stats, &ThreadLocalScratch());
-}
-
-std::vector<Neighbor> DbLsh::Query(const float* query, size_t k,
-                                   QueryStats* stats,
-                                   QueryScratch* scratch) const {
-  return QueryImpl(query, k, params_.t, auto_r0_, stats, scratch);
+  return QueryImpl(query, k, params_.t, auto_r0_, stats);
 }
 
 QueryResponse DbLsh::Search(const float* query,
@@ -250,43 +234,16 @@ QueryResponse DbLsh::Search(const float* query,
       request.candidate_budget > 0 ? request.candidate_budget : params_.t;
   const double r0 = request.r0 > 0.0 ? request.r0 : auto_r0_;
   ScopedQueryFilter filter_scope(&request.filter);
-  response.neighbors = QueryImpl(query, request.k, t, r0, &response.stats,
-                                 &ThreadLocalScratch());
+  response.neighbors = QueryImpl(query, request.k, t, r0, &response.stats);
   return response;
 }
 
-std::vector<QueryResponse> DbLsh::QueryBatch(const FloatMatrix& queries,
-                                             const QueryRequest& request,
-                                             size_t num_threads) const {
-  const size_t q_count = queries.rows();
-  std::vector<QueryResponse> responses(q_count);
-  if (q_count == 0) return responses;
-  if (num_threads == 0) num_threads = exec::HardwareConcurrency();
-  num_threads = std::min(num_threads, q_count);
-
-  const size_t t =
-      request.candidate_budget > 0 ? request.candidate_budget : params_.t;
-  const double r0 = request.r0 > 0.0 ? request.r0 : auto_r0_;
-  detail::FanOut(q_count, num_threads, [&]() {
-    // One scratch per worker: the fully thread-safe read path.
-    auto scratch = std::make_shared<QueryScratch>();
-    return [this, scratch, &queries, &request, &responses, t, r0](size_t q) {
-      // Per-call scope on the worker thread: the filter is thread-local.
-      ScopedQueryFilter filter_scope(&request.filter);
-      responses[q].neighbors = QueryImpl(queries.row(q), request.k, t, r0,
-                                         &responses[q].stats, scratch.get());
-    };
-  });
-  return responses;
-}
-
 std::vector<Neighbor> DbLsh::QueryImpl(const float* query, size_t k, size_t t,
-                                       double r0, QueryStats* stats,
-                                       QueryScratch* scratch) const {
+                                       double r0, QueryStats* stats) const {
   assert(data_ != nullptr && "Build() must succeed before Query()");
   if (k == 0 || data_ == nullptr) return {};
 
-  const uint32_t epoch = PrepareScratch(scratch);
+  Scratch& scratch = ThreadLocalScratch();
   TopKHeap heap(k);
   CandidateVerifier verifier(query, data_, &heap, stats);
   verifier.set_budget(2 * t * params_.l + k);
@@ -296,7 +253,7 @@ std::vector<Neighbor> DbLsh::QueryImpl(const float* query, size_t k, size_t t,
   // the window to outgrow any float data spread).
   for (size_t round = 0; round < 256; ++round) {
     if (stats != nullptr) ++stats->rounds;
-    if (RunRound(query, r, &verifier, &scratch->visited_epoch_, epoch,
+    if (RunRound(query, r, &verifier, &scratch.visited, scratch.epoch,
                  stats)) {
       break;
     }
@@ -308,15 +265,14 @@ std::vector<Neighbor> DbLsh::QueryImpl(const float* query, size_t k, size_t t,
 std::optional<Neighbor> DbLsh::RcNnQuery(const float* query, double r,
                                          QueryStats* stats) const {
   assert(data_ != nullptr && "Build() must succeed before Query()");
-  QueryScratch& scratch = ThreadLocalScratch();
-  const uint32_t epoch = PrepareScratch(&scratch);
+  Scratch& scratch = ThreadLocalScratch();
   const size_t budget = 2 * params_.t * params_.l + 1;
   TopKHeap heap(1);
   CandidateVerifier verifier(query, data_, &heap, stats);
   verifier.set_budget(budget);
   if (stats != nullptr) ++stats->rounds;
-  const bool done = RunRound(query, r, &verifier,
-                             &scratch.visited_epoch_, epoch, stats);
+  const bool done = RunRound(query, r, &verifier, &scratch.visited,
+                             scratch.epoch, stats);
   if (!done && heap.Size() == 0) return std::nullopt;
   std::vector<Neighbor> best = heap.TakeSorted();
   if (best.empty()) return std::nullopt;

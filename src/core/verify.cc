@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <vector>
 
 #include "dataset/vector_store.h"
 #include "simd/simd.h"
@@ -15,12 +14,6 @@ namespace {
 /// on the query hot path and need no synchronization.
 thread_local const QueryFilter* g_active_filter = nullptr;
 
-/// Per-thread scratch for the quantized path's prepared query (see
-/// VectorStore::PrepareQuery). Rebuilt on every VerifyCandidates call —
-/// a dim-length pass per call, ~3% of a typical verification — so the
-/// scratch never holds a stale query across calls.
-thread_local std::vector<float> g_prepared_query;
-
 }  // namespace
 
 ScopedQueryFilter::ScopedQueryFilter(const QueryFilter* filter)
@@ -32,10 +25,36 @@ ScopedQueryFilter::~ScopedQueryFilter() { g_active_filter = previous_; }
 
 const QueryFilter* ScopedQueryFilter::Active() { return g_active_filter; }
 
+CandidateVerifier::CandidateVerifier(const float* query,
+                                     const FloatMatrix* data, TopKHeap* heap,
+                                     QueryStats* stats)
+    : query_(query),
+      data_(data),
+      heap_(heap),
+      stats_(stats),
+      filter_(ScopedQueryFilter::Active()) {
+  // Quantized storage: when a quantized VectorStore manages this matrix's
+  // payload (the matrix is then a metadata shell), distances come from the
+  // store's prepared-query scoring instead of the raw fp32 kernels. Every
+  // other semantic — tombstones, filters, budget, dist_bound, chunk
+  // boundaries, push order — is identical, which is how quantization
+  // reaches all 12 methods with zero per-method code.
+  const VectorStore* store = data->store();
+  if (store != nullptr && store->quantized()) {
+    store_ = store;
+    store->PrepareQuery(query, &prepared_);
+  }
+}
+
 VerifyResult VerifyCandidates(const float* query, const FloatMatrix& data,
                               const uint32_t* ids, size_t n,
                               const VerifyOptions& options, TopKHeap* heap,
                               QueryStats* stats) {
+  return CandidateVerifier(query, &data, heap, stats).Verify(ids, n, options);
+}
+
+VerifyResult CandidateVerifier::Verify(const uint32_t* ids, size_t n,
+                                       const VerifyOptions& options) {
   // Chunk sizing: with an early exit armed, small chunks bound the wasted
   // distance computations past the exit point; when no exit can fire (full
   // scans — LinearScan, ground truth) larger chunks keep the batch
@@ -45,90 +64,60 @@ VerifyResult VerifyCandidates(const float* query, const FloatMatrix& data,
   const bool exit_possible = options.dist_bound >= 0.0 || options.budget < n;
   const size_t chunk = exit_possible ? kExitChunk : kScanChunk;
   float d2[kScanChunk];
+  uint32_t kept[kScanChunk];
   VerifyResult result;
   const auto& kernels = simd::Active();
-  const float* base = data.data().data();
-  const size_t dim = data.cols();
-  // Quantized storage: when a quantized VectorStore manages this matrix's
-  // payload (the matrix is then a metadata shell), distances come from the
-  // store's prepared-query scoring instead of the raw fp32 kernels. Every
-  // other semantic below — tombstones, filters, budget, dist_bound, chunk
-  // boundaries, push order — is identical, which is how quantization
-  // reaches all 12 methods with zero per-method code. The fp32/unbound
-  // path is untouched (one pointer test per call).
-  const VectorStore* store = data.store();
-  const bool quantized = store != nullptr && store->quantized();
-  if (quantized) store->PrepareQuery(query, &g_prepared_query);
-  const float* prep = quantized ? g_prepared_query.data() : nullptr;
-  // Tombstone filter: erased rows are dropped after the batch distance
-  // computation, before the push — they consume neither budget nor
-  // candidates_verified. The flag is hoisted so the static (no-mutation)
-  // path is byte-for-byte the historical loop. The thread's active query
-  // filter (request push-down) gets identical drop semantics.
-  const bool tombstones = data.has_tombstones();
-  const QueryFilter* filter = ScopedQueryFilter::Active();
+  const float* base = data_->data().data();
+  const size_t dim = data_->cols();
+  // Tombstoned rows and rows the thread's query filter rejects are
+  // dropped before the distance kernel — a restrictive allow-list must not
+  // pay SIMD work for candidates it will drop — and consume neither budget
+  // nor candidates_verified. Survivors are compacted only when either can
+  // drop something, so the static unfiltered path scores `ids` (or the
+  // contiguous rows) in place, byte-for-byte the historical loop.
+  const bool tombstones = data_->has_tombstones();
+  const bool compact = tombstones || filter_ != nullptr;
   for (size_t off = 0; off < n && !result.exited; off += chunk) {
-    const size_t m = std::min(chunk, n - off);
-    if (filter != nullptr) {
-      // Filtered path: reject before the distance kernel — a restrictive
-      // allow-list must not pay SIMD work for candidates it will drop.
+    size_t m = std::min(chunk, n - off);
+    const uint32_t* batch = ids != nullptr ? ids + off : nullptr;
+    if (compact) {
       // Tombstones are tested first so a dead row never counts as a
       // filtered *live* candidate (result.filtered feeds coverage-based
       // termination against live_rows()).
-      uint32_t keep[kScanChunk];
-      size_t kept = 0;
+      size_t live = 0;
       for (size_t j = 0; j < m; ++j) {
         const uint32_t id =
-            ids != nullptr ? ids[off + j] : static_cast<uint32_t>(off + j);
-        if (tombstones && data.IsDeleted(id)) continue;
-        if (!filter->Admits(id)) {
+            batch != nullptr ? batch[j] : static_cast<uint32_t>(off + j);
+        if (tombstones && data_->IsDeleted(id)) continue;
+        if (filter_ != nullptr && !filter_->Admits(id)) {
           ++result.filtered;
           continue;
         }
-        keep[kept++] = id;
+        kept[live++] = id;
       }
-      if (kept == 0) continue;
-      if (quantized) {
-        store->ScoreBatch(prep, 0, keep, kept, d2);
-      } else {
-        kernels.l2_squared_batch(query, base, dim, keep, kept, d2);
-      }
-      for (size_t j = 0; j < kept; ++j) {
-        heap->Push(std::sqrt(d2[j]), keep[j]);
-        ++result.pushed;
-        if (stats != nullptr) ++stats->candidates_verified;
-        if (result.pushed >= options.budget ||
-            (options.dist_bound >= 0.0 && heap->Full() &&
-             heap->Threshold() <= options.dist_bound)) {
-          result.exited = true;
-          break;
-        }
-      }
-      continue;
+      if (live == 0) continue;
+      batch = kept;
+      m = live;
     }
-    if (quantized) {
-      if (ids != nullptr) {
-        store->ScoreBatch(prep, 0, ids + off, m, d2);
-      } else {
-        store->ScoreBatch(prep, off, nullptr, m, d2);
-      }
-    } else if (ids != nullptr) {
-      kernels.l2_squared_batch(query, base, dim, ids + off, m, d2);
+    if (store_ != nullptr) {
+      store_->ScoreBatch(prepared_.data(), off, batch, m, d2);
+    } else if (batch != nullptr) {
+      kernels.l2_squared_batch(query_, base, dim, batch, m, d2);
     } else {
       // Contiguous rows: advance the base pointer instead of materializing
       // sequential ids.
-      kernels.l2_squared_batch(query, base + off * dim, dim, nullptr, m, d2);
+      kernels.l2_squared_batch(query_, base + off * dim, dim, nullptr, m,
+                               d2);
     }
     for (size_t j = 0; j < m; ++j) {
       const uint32_t id =
-          ids != nullptr ? ids[off + j] : static_cast<uint32_t>(off + j);
-      if (tombstones && data.IsDeleted(id)) continue;
-      heap->Push(std::sqrt(d2[j]), id);
+          batch != nullptr ? batch[j] : static_cast<uint32_t>(off + j);
+      heap_->Push(std::sqrt(d2[j]), id);
       ++result.pushed;
-      if (stats != nullptr) ++stats->candidates_verified;
+      if (stats_ != nullptr) ++stats_->candidates_verified;
       if (result.pushed >= options.budget ||
-          (options.dist_bound >= 0.0 && heap->Full() &&
-           heap->Threshold() <= options.dist_bound)) {
+          (options.dist_bound >= 0.0 && heap_->Full() &&
+           heap_->Threshold() <= options.dist_bound)) {
         result.exited = true;
         break;  // drop the rest of the chunk, exactly like the old loops
       }
@@ -150,9 +139,7 @@ bool CandidateVerifier::Flush() {
   VerifyOptions options;
   options.budget = budget_ - verified_;
   options.dist_bound = dist_bound_;
-  const VerifyResult result = VerifyCandidates(query_, *data_, buffer_,
-                                               pending, options, heap_,
-                                               stats_);
+  const VerifyResult result = Verify(buffer_, pending, options);
   verified_ += result.pushed;
   filtered_ += result.filtered;
   if (result.exited) done_ = true;

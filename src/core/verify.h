@@ -4,12 +4,15 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <vector>
 
 #include "core/query.h"
 #include "dataset/float_matrix.h"
 #include "util/top_k_heap.h"
 
 namespace dblsh {
+
+class VectorStore;
 
 /// Early-exit policy for a verification pass. Both tests are evaluated
 /// after every push, in candidate order — the same per-candidate semantics
@@ -68,7 +71,9 @@ struct VerifyResult {
 /// raw fp32 kernels — same chunking, same tombstone/filter/budget/bound
 /// semantics, approximately-equal distances (callers re-rank the final
 /// top-k through the store's exact scorer; Collection does this
-/// automatically). The fp32 path is byte-for-byte the historical loop.
+/// automatically). Each call prepares the query once (one-shot scans);
+/// streaming callers use CandidateVerifier, which prepares it once per
+/// query. The fp32 path is byte-for-byte the historical loop.
 ///
 /// Thread-safety: safe to call concurrently for distinct (heap, stats)
 /// pairs over one immutable `data`; not safe concurrently with dataset
@@ -78,11 +83,12 @@ VerifyResult VerifyCandidates(const float* query, const FloatMatrix& data,
                               const VerifyOptions& options, TopKHeap* heap,
                               QueryStats* stats);
 
-/// RAII push-down of a per-query id filter into every VerifyCandidates /
-/// CandidateVerifier call made by the current thread while the scope is
-/// alive. The Search()/QueryBatch() entrypoints wrap the per-method Query()
-/// hook in one of these, which is what makes `QueryRequest::filter` work
-/// identically across all methods without touching their query code.
+/// RAII push-down of a per-query id filter into every VerifyCandidates
+/// call made, and every CandidateVerifier constructed, by the current
+/// thread while the scope is alive. The Search() entrypoints (which
+/// QueryBatch() runs per row) wrap the per-method Query() hook in one of
+/// these, which is what makes `QueryRequest::filter` work identically
+/// across all methods without touching their query code.
 ///
 /// Scopes nest (the previous filter is restored on destruction) and are
 /// strictly thread-local: a filter installed on one thread is invisible to
@@ -124,6 +130,11 @@ class ScopedQueryFilter {
 ///
 /// The dedup/marking step stays with the caller (epoch stamps, collision
 /// counting); ids handed to Offer() must already be unique for the query.
+///
+/// The verifier owns the query's scoring state: construction resolves
+/// `data`'s quantized store (if any) and runs its PrepareQuery, and reads
+/// the thread's active query filter, once — every flush of the query
+/// reuses them. Construct it inside the query's ScopedQueryFilter.
 class CandidateVerifier {
  public:
   static constexpr size_t kBatch = 32;
@@ -131,8 +142,7 @@ class CandidateVerifier {
   /// `query`, `data`, `heap` and `stats` (nullable) must outlive the
   /// verifier; distances pushed are actual (non-squared) L2.
   CandidateVerifier(const float* query, const FloatMatrix* data,
-                    TopKHeap* heap, QueryStats* stats)
-      : query_(query), data_(data), heap_(heap), stats_(stats) {}
+                    TopKHeap* heap, QueryStats* stats);
 
   /// Cumulative push budget across the whole query (not per flush).
   void set_budget(size_t budget) { budget_ = budget; }
@@ -176,10 +186,29 @@ class CandidateVerifier {
   size_t filtered() const { return filtered_; }
 
  private:
+  friend VerifyResult VerifyCandidates(const float* query,
+                                       const FloatMatrix& data,
+                                       const uint32_t* ids, size_t n,
+                                       const VerifyOptions& options,
+                                       TopKHeap* heap, QueryStats* stats);
+
+  /// The one compaction-and-push loop behind Flush() and
+  /// VerifyCandidates(): verifies ids[0, n) (rows [0, n) when `ids` is
+  /// null) under `options`, without touching the cumulative counters.
+  VerifyResult Verify(const uint32_t* ids, size_t n,
+                      const VerifyOptions& options);
+
   const float* query_;
   const FloatMatrix* data_;
   TopKHeap* heap_;
   QueryStats* stats_;
+  /// The quantized store that scores candidates, or nullptr: the raw fp32
+  /// kernels over `data_`.
+  const VectorStore* store_ = nullptr;
+  /// store_->PrepareQuery(query_), built once at construction.
+  std::vector<float> prepared_;
+  /// The thread's active query filter at construction, or nullptr.
+  const QueryFilter* filter_;
   size_t budget_ = std::numeric_limits<size_t>::max();
   double dist_bound_ = -1.0;
   size_t verified_ = 0;

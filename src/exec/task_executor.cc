@@ -121,29 +121,30 @@ namespace {
 /// this state, and exits — the caller never has to wait for helpers that
 /// never started, so it cannot deadlock against its own queued work.
 struct LoopState {
-  explicit LoopState(size_t total) : n(total) {}
+  LoopState(size_t total, const std::function<void(size_t)>* loop_body)
+      : n(total), body(loop_body) {}
   const size_t n;
+  /// The caller's loop body, on the caller's stack: see Drain.
+  const std::function<void(size_t)>* const body;
   std::atomic<size_t> next{0};    ///< iteration hand-out counter
   std::atomic<size_t> active{0};  ///< helpers currently inside Drain
   std::atomic<bool> failed{false};
   std::mutex error_mutex;
   std::exception_ptr error;  ///< first exception, guarded by error_mutex
-  std::function<std::function<void(size_t)>()> make_worker;
 };
 
 /// Pulls iterations off `st` until the range (or an error) exhausts it.
-/// The order of checks matters for lifetime safety: make_worker — whose
-/// captures may reference the caller's stack — is only invoked after this
-/// thread has claimed a live iteration, which cannot happen once the
-/// caller's exit condition (failed or next >= n, both monotone) held.
+/// The order of checks matters for lifetime safety: `body` — which lives
+/// on the caller's stack — is only touched after this thread has claimed
+/// a live iteration, which cannot happen once the caller's exit condition
+/// (failed or next >= n, both monotone) held.
 void Drain(LoopState& st) {
   if (st.failed.load(std::memory_order_acquire)) return;
   size_t i = st.next.fetch_add(1, std::memory_order_relaxed);
   if (i >= st.n) return;
-  std::function<void(size_t)> work = st.make_worker();
   for (;;) {
     try {
-      work(i);
+      (*st.body)(i);
     } catch (...) {
       {
         std::lock_guard lock(st.error_mutex);
@@ -163,26 +164,15 @@ void Drain(LoopState& st) {
 void TaskExecutor::ParallelFor(size_t n,
                                const std::function<void(size_t)>& body,
                                size_t max_parallelism) {
-  ParallelForWorkers(n, max_parallelism,
-                     [&body]() -> std::function<void(size_t)> {
-                       return [&body](size_t i) { body(i); };
-                     });
-}
-
-void TaskExecutor::ParallelForWorkers(
-    size_t n, size_t max_parallelism,
-    const std::function<std::function<void(size_t)>()>& make_worker) {
   if (n == 0) return;
   if (max_parallelism == 0) max_parallelism = num_threads() + 1;
   if (max_parallelism <= 1 || n == 1) {
     // Sequential fast path on the caller; exceptions propagate directly.
-    const std::function<void(size_t)> work = make_worker();
-    for (size_t i = 0; i < n; ++i) work(i);
+    for (size_t i = 0; i < n; ++i) body(i);
     return;
   }
 
-  auto st = std::make_shared<LoopState>(n);
-  st->make_worker = make_worker;
+  auto st = std::make_shared<LoopState>(n, &body);
   const size_t helpers = std::min({max_parallelism - 1, num_threads(), n - 1});
   for (size_t h = 0; h < helpers; ++h) {
     Schedule([this, st]() {

@@ -84,20 +84,15 @@ class TaskExecutor {
 
   /// Runs `body(i)` for every i in [0, n), fanning out over at most
   /// `max_parallelism` concurrent executors of the loop (0 = pool width +
-  /// the caller). The caller participates, so the call completes even on a
-  /// saturated pool; remaining iterations stop after the first exception,
-  /// which is rethrown here. Blocks until every started iteration finished.
+  /// the caller); 1 runs the loop on the caller. The caller participates,
+  /// so the call completes even on a saturated pool; remaining iterations
+  /// stop after the first exception, which is rethrown here. Blocks until
+  /// every started iteration finished; `body` is only used before this
+  /// call returns. Iterations are handed out dynamically, so per-thread
+  /// state belongs in the thread's own storage (DbLsh's thread-local
+  /// scratch), not in the loop.
   void ParallelFor(size_t n, const std::function<void(size_t)>& body,
                    size_t max_parallelism = 0);
-
-  /// ParallelFor with per-executor state: `make_worker()` runs once in each
-  /// participating thread (caller included) and returns that thread's
-  /// iteration body — the hook QueryBatch uses to give every worker its own
-  /// query scratch. Iterations are handed out dynamically; `make_worker`
-  /// and the returned bodies are only used before this call returns.
-  void ParallelForWorkers(
-      size_t n, size_t max_parallelism,
-      const std::function<std::function<void(size_t)>()>& make_worker);
 
   /// Runs one queued task on the calling thread if any is pending; returns
   /// whether a task ran. Lets a thread that must block on pool work lend a

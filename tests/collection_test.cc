@@ -374,24 +374,68 @@ TEST(CollectionRoutingTest, RoutesExplicitlyAndByFreshness) {
 }
 
 TEST(CollectionRoutingTest, SearchBatchServesAllRowsUnderOneRoute) {
-  auto made = Collection::FromSpec("collection: DB-LSH,t=16; LinearScan",
-                                   EasyDataPtr(400));
-  ASSERT_TRUE(made.ok());
-  Collection& c = *made.value();
+  // A batch answers exactly what per-row Search calls answer — ids and
+  // distances — for every route (PM-LSH is thread-compatible only: its
+  // cells serialize on the slot's query lock), at 1 and 3 threads, on fp32
+  // and on sq8 storage (per-row re-rank).
   const FloatMatrix queries = EasyData(8, 16, 902);
   QueryRequest request;
   request.k = 5;
-  for (const std::string& name : {std::string(""), std::string("LinearScan"),
-                                  std::string("DB-LSH")}) {
-    auto got = c.SearchBatch(queries, request, name, /*num_threads=*/2);
-    ASSERT_TRUE(got.ok()) << name;
-    ASSERT_EQ(got.value().size(), queries.rows()) << name;
-    for (const QueryResponse& response : got.value()) {
-      EXPECT_EQ(response.neighbors.size(), 5u);
+  for (const std::string storage : {"", ",storage=sq8"}) {
+    auto made = Collection::FromSpec(
+        "collection" + storage + ": DB-LSH,t=16; LinearScan; PM-LSH",
+        EasyDataPtr(400));
+    ASSERT_TRUE(made.ok()) << made.status().ToString();
+    Collection& c = *made.value();
+    for (const std::string name : {"", "LinearScan", "DB-LSH", "PM-LSH"}) {
+      for (const size_t threads : {size_t{1}, size_t{3}}) {
+        SCOPED_TRACE("storage" + storage + " route \"" + name +
+                     "\" threads " + std::to_string(threads));
+        auto got = c.SearchBatch(queries, request, name, threads);
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        ASSERT_EQ(got.value().size(), queries.rows());
+        for (size_t q = 0; q < queries.rows(); ++q) {
+          const auto& batched = got.value()[q].neighbors;
+          auto one = c.Search(queries.row(q), request, name);
+          ASSERT_TRUE(one.ok()) << one.status().ToString();
+          const auto& single = one.value().neighbors;
+          EXPECT_EQ(batched.size(), 5u);
+          ASSERT_EQ(batched.size(), single.size()) << "query " << q;
+          for (size_t i = 0; i < single.size(); ++i) {
+            EXPECT_EQ(batched[i].id, single[i].id) << "query " << q;
+            EXPECT_EQ(batched[i].dist, single[i].dist) << "query " << q;
+          }
+        }
+      }
     }
+    // Mismatched query width is rejected.
+    EXPECT_FALSE(c.SearchBatch(EasyData(2, 8, 1), request).ok());
   }
-  // Mismatched query width is rejected.
-  EXPECT_FALSE(c.SearchBatch(EasyData(2, 8, 1), request).ok());
+  // A zero-row batch has the same status whatever the shard count, before
+  // any index is built and after.
+  for (const bool built : {false, true}) {
+    std::vector<Status> status;  // shards = 1, then shards = 4
+    for (const size_t shards : {size_t{1}, size_t{4}}) {
+      CollectionOptions options;
+      options.shards = shards;
+      Collection c(16, options);
+      ASSERT_TRUE(c.AddIndex("DB-LSH,t=16").ok());
+      if (built) {
+        const FloatMatrix rows = EasyData(40, 16, 903);
+        for (size_t r = 0; r < rows.rows(); ++r) {
+          ASSERT_TRUE(c.Upsert(rows.row(r), rows.cols()).ok());
+        }
+      }
+      auto got = c.SearchBatch(FloatMatrix(0, 16), request);
+      status.push_back(got.status());
+      if (got.ok()) {
+        EXPECT_TRUE(got.value().empty());
+      }
+    }
+    EXPECT_EQ(status[0].code(), status[1].code())
+        << (built ? "built: " : "unbuilt: ") << status[0].ToString()
+        << " vs " << status[1].ToString();
+  }
 }
 
 // ------------------------------------------ filter across all methods -----

@@ -253,14 +253,21 @@ TEST(ParallelQueryTest, SingleThreadAndEmptyInputs) {
 }
 
 TEST(ParallelQueryTest, ScratchReuseAcrossManyQueries) {
-  // Exercises the epoch machinery in a caller-owned scratch.
+  // Exercises the epoch machinery of the thread's scratch, which every
+  // DbLsh instance on the thread shares: a second index over fewer rows
+  // queried between the two runs of each query forces the scratch to
+  // resize, twice, between them.
   const Fixture& f = SharedFixture();
   DbLsh index;
   ASSERT_TRUE(index.Build(&f.data).ok());
-  DbLsh::QueryScratch scratch;
+  const FloatMatrix fewer =
+      GenerateClustered({.n = 700, .dim = 32, .clusters = 4, .seed = 2003});
+  DbLsh other;
+  ASSERT_TRUE(other.Build(&fewer).ok());
   for (int repeat = 0; repeat < 3; ++repeat) {
     for (size_t q = 0; q < f.queries.rows(); ++q) {
-      const auto a = index.Query(f.queries.row(q), 5, nullptr, &scratch);
+      const auto a = index.Query(f.queries.row(q), 5);
+      EXPECT_FALSE(other.Query(f.queries.row(q), 5).empty());
       const auto b = index.Query(f.queries.row(q), 5);
       ASSERT_EQ(a.size(), b.size());
       for (size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i].id, b[i].id);
