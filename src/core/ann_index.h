@@ -55,14 +55,13 @@ class AnnIndex {
   virtual QueryResponse Search(const float* query,
                                const QueryRequest& request) const;
 
-  /// Answers every row of `queries` under one request; responses are in
-  /// query order and equal per-row Search() calls. The rows run as
-  /// Search() calls on the default executor (TaskExecutor::Default()'s
-  /// ParallelFor) at a parallelism of `num_threads` when the index declares
-  /// its read path thread-safe (SupportsConcurrentQueries), and as a
-  /// sequential loop on the caller otherwise, so it is always safe to
-  /// call. `num_threads = 0` uses the hardware concurrency; pass 1 when
-  /// timing per-query latency.
+  /// Answers every row of `queries` under one request: response q equals
+  /// Search(queries.row(q), request). The rows run on the default executor
+  /// (TaskExecutor::Default().ParallelFor) at a parallelism of
+  /// `num_threads` when the index declares its read path thread-safe
+  /// (SupportsConcurrentQueries), and sequentially on the caller
+  /// otherwise, so it is always safe to call. `num_threads = 0` uses the
+  /// hardware concurrency; pass 1 when timing per-query latency.
   std::vector<QueryResponse> QueryBatch(const FloatMatrix& queries,
                                         const QueryRequest& request,
                                         size_t num_threads = 0) const;
