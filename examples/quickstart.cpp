@@ -38,9 +38,8 @@ int main() {
   std::printf("Collection: %zu vectors x %zu dims, indexes:\n",
               collection.size(), collection.dim());
   for (const auto& info : collection.Indexes()) {
-    std::printf("  %-12s updatable=%d concurrent_reads=%d\n",
-                info.name.c_str(), info.supports_updates,
-                info.concurrent_queries);
+    std::printf("  %-12s updatable=%d\n", info.name.c_str(),
+                info.supports_updates);
   }
 
   // 3. Upsert a new vector. The collection assigns the id, stores the

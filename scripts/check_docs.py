@@ -4,8 +4,8 @@
 1. Intra-repo markdown link check: every relative link target in a *.md
    file must exist (http/mailto/pure-anchor links are skipped).
 2. Doc-comment coverage over the public headers: every public function
-   declaration in src/{core,exec,serve,simd,replication,rtree}/*.h must be
-   preceded by a `///` contract comment.
+   declaration in src/{core,exec,serve,simd,replication,rtree,kdtree,
+   bptree}/*.h must be preceded by a `///` contract comment.
 
 Exit code 0 when both gates pass; 1 with a listing of violations.
 """
@@ -48,7 +48,7 @@ def check_markdown_links():
 # -------------------------------------------------------- doc coverage ----
 
 HEADER_GLOBS = ("src/core", "src/exec", "src/serve", "src/simd",
-                "src/replication", "src/rtree")
+                "src/replication", "src/rtree", "src/kdtree", "src/bptree")
 
 # A line that starts a function declaration/definition at class-public or
 # namespace scope in this codebase's style (2-space members, 0-space free
@@ -158,8 +158,9 @@ def main():
         for e in errors:
             print("  " + e)
         return 1
-    print("docs check passed: markdown links resolve, "
-          "core/exec/serve/simd/replication/rtree headers are documented")
+    print("docs check passed: markdown links resolve, the headers of "
+          + "/".join(d.split("/")[1] for d in HEADER_GLOBS)
+          + " are documented")
     return 0
 
 

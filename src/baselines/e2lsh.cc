@@ -5,6 +5,7 @@
 #include <cassert>
 #include <cmath>
 
+#include "core/query_marks.h"
 #include "core/verify.h"
 #include "dataset/ground_truth.h"
 #include "util/distance.h"
@@ -79,8 +80,6 @@ Status E2Lsh::Build(const FloatMatrix* data) {
     }
   }
 
-  verified_epoch_.assign(n, 0);
-  epoch_ = 0;
   return Status::OK();
 }
 
@@ -97,10 +96,7 @@ std::vector<Neighbor> E2Lsh::Query(const float* query, size_t k,
   assert(data_ != nullptr && "Build() must succeed before Query()");
   if (k == 0) return {};
   const size_t n = data_->rows();
-  if (++epoch_ == 0) {
-    std::fill(verified_epoch_.begin(), verified_epoch_.end(), 0);
-    epoch_ = 1;
-  }
+  QueryMarks marks = QueryMarks::Begin(n);
 
   const size_t budget =
       std::max<size_t>(100, static_cast<size_t>(params_.beta *
@@ -121,8 +117,7 @@ std::vector<Neighbor> E2Lsh::Query(const float* query, size_t k,
       if (it == tables_[level * params_.l + table].end()) continue;
       for (const uint32_t id : it->second) {
         if (stats != nullptr) ++stats->points_accessed;
-        if (verified_epoch_[id] == epoch_) continue;
-        verified_epoch_[id] = epoch_;
+        if (!marks.Visit(id)) continue;
         if (verifier.Offer(id)) {
           done = true;
           break;
@@ -154,12 +149,5 @@ DBLSH_REGISTER_INDEX(
       std::unique_ptr<AnnIndex> index = std::make_unique<E2Lsh>(params);
       return index;
     });
-
-
-Status E2Lsh::RebindData(const FloatMatrix* data) {
-  DBLSH_RETURN_IF_ERROR(detail::ValidateRebind(Name(), data_, data));
-  data_ = data;
-  return Status::OK();
-}
 
 }  // namespace dblsh

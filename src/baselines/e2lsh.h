@@ -42,9 +42,6 @@ class E2Lsh : public AnnIndex {
 
   std::string Name() const override { return "E2LSH"; }
   Status Build(const FloatMatrix* data) override;
-  /// Repoints dataset reads at an equal-content matrix (see
-  /// AnnIndex::RebindData) -- Collection's background-rebuild swap hook.
-  Status RebindData(const FloatMatrix* data) override;
   std::vector<Neighbor> Query(const float* query, size_t k,
                               QueryStats* stats = nullptr) const override;
   size_t NumHashFunctions() const override {
@@ -65,15 +62,12 @@ class E2Lsh : public AnnIndex {
 
   E2LshParams params_;
   double r0_ = 1.0;
-  const FloatMatrix* data_ = nullptr;
   /// One projection bank + offsets shared by all levels (levels differ only
   /// in cell width, like virtual rehashing).
   std::unique_ptr<lsh::ProjectionBank> bank_;  // l*k directions
   std::vector<double> offsets_;                // l*k uniform offsets in [0,w)
   /// tables_[level * l + table]
   std::vector<Table> tables_;
-  mutable std::vector<uint32_t> verified_epoch_;
-  mutable uint32_t epoch_ = 0;
 };
 
 }  // namespace dblsh

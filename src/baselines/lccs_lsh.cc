@@ -5,6 +5,7 @@
 #include <cassert>
 #include <numeric>
 
+#include "core/query_marks.h"
 #include "core/verify.h"
 #include "dataset/ground_truth.h"
 #include "util/distance.h"
@@ -70,8 +71,6 @@ Status LccsLsh::Build(const FloatMatrix* data) {
     });
   }
 
-  verified_epoch_.assign(n, 0);
-  epoch_ = 0;
   return Status::OK();
 }
 
@@ -80,10 +79,7 @@ std::vector<Neighbor> LccsLsh::Query(const float* query, size_t k,
   assert(data_ != nullptr && "Build() must succeed before Query()");
   if (k == 0) return {};
   const size_t n = data_->rows();
-  if (++epoch_ == 0) {
-    std::fill(verified_epoch_.begin(), verified_epoch_.end(), 0);
-    epoch_ = 1;
-  }
+  QueryMarks marks = QueryMarks::Begin(n);
 
   const uint64_t qcode = CodeOf(query);
   const size_t budget = params_.probes + k;
@@ -93,8 +89,7 @@ std::vector<Neighbor> LccsLsh::Query(const float* query, size_t k,
 
   auto verify = [&](uint32_t id) -> bool {
     if (stats != nullptr) ++stats->points_accessed;
-    if (verified_epoch_[id] == epoch_) return false;
-    verified_epoch_[id] = epoch_;
+    if (!marks.Visit(id)) return false;
     return verifier.Offer(id);
   };
 
@@ -147,12 +142,5 @@ DBLSH_REGISTER_INDEX(
       std::unique_ptr<AnnIndex> index = std::make_unique<LccsLsh>(params);
       return index;
     });
-
-
-Status LccsLsh::RebindData(const FloatMatrix* data) {
-  DBLSH_RETURN_IF_ERROR(detail::ValidateRebind(Name(), data_, data));
-  data_ = data;
-  return Status::OK();
-}
 
 }  // namespace dblsh

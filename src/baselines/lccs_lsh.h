@@ -44,9 +44,6 @@ class LccsLsh : public AnnIndex {
 
   std::string Name() const override { return "LCCS-LSH"; }
   Status Build(const FloatMatrix* data) override;
-  /// Repoints dataset reads at an equal-content matrix (see
-  /// AnnIndex::RebindData) -- Collection's background-rebuild swap hook.
-  Status RebindData(const FloatMatrix* data) override;
   std::vector<Neighbor> Query(const float* query, size_t k,
                               QueryStats* stats = nullptr) const override;
   size_t NumHashFunctions() const override { return num_symbols_; }
@@ -56,14 +53,11 @@ class LccsLsh : public AnnIndex {
 
   LccsLshParams params_;
   size_t num_symbols_ = 16;  ///< m / 4 hash functions
-  const FloatMatrix* data_ = nullptr;
   std::unique_ptr<lsh::StaticHashFamily> family_;
   std::vector<uint64_t> codes_;  // per point
   /// shift_order_[s] = point ids sorted by the code rotated left by s
   /// symbols (4s bits).
   std::vector<std::vector<uint32_t>> shift_order_;
-  mutable std::vector<uint32_t> verified_epoch_;
-  mutable uint32_t epoch_ = 0;
 };
 
 }  // namespace dblsh

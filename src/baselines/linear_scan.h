@@ -13,14 +13,8 @@ class LinearScan : public AnnIndex {
   std::string Name() const override { return "LinearScan"; }
 
   Status Build(const FloatMatrix* data) override;
-  /// Repoints dataset reads at an equal-content matrix (see
-  /// AnnIndex::RebindData) -- Collection's background-rebuild swap hook.
-  Status RebindData(const FloatMatrix* data) override;
   std::vector<Neighbor> Query(const float* query, size_t k,
                               QueryStats* stats = nullptr) const override;
-  /// The scan keeps no per-query scratch, so the base-class QueryBatch may
-  /// fan queries out over threads.
-  bool SupportsConcurrentQueries() const override { return true; }
 
   /// The scan holds no structures: it reads the matrix's current rows on
   /// every query and the shared verification path filters tombstones, so
@@ -31,9 +25,6 @@ class LinearScan : public AnnIndex {
   Status Erase(uint32_t id) override;
 
   size_t NumHashFunctions() const override { return 0; }
-
- private:
-  const FloatMatrix* data_ = nullptr;
 };
 
 }  // namespace dblsh

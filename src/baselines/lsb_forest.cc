@@ -7,6 +7,7 @@
 #include <cmath>
 #include <queue>
 
+#include "core/query_marks.h"
 #include "core/verify.h"
 #include "dataset/ground_truth.h"
 #include "util/distance.h"
@@ -78,8 +79,6 @@ Status LsbForest::Build(const FloatMatrix* data) {
     std::sort(entries.begin(), entries.end());
   }
 
-  verified_epoch_.assign(n, 0);
-  epoch_ = 0;
   return Status::OK();
 }
 
@@ -88,10 +87,7 @@ std::vector<Neighbor> LsbForest::Query(const float* query, size_t k,
   assert(data_ != nullptr && "Build() must succeed before Query()");
   if (k == 0) return {};
   const size_t n = data_->rows();
-  if (++epoch_ == 0) {
-    std::fill(verified_epoch_.begin(), verified_epoch_.end(), 0);
-    epoch_ = 1;
-  }
+  QueryMarks marks = QueryMarks::Begin(n);
 
   // Query Z-code and a bidirectional cursor pair per tree.
   std::vector<uint64_t> qcodes(params_.l);
@@ -157,10 +153,7 @@ std::vector<Neighbor> LsbForest::Query(const float* query, size_t k,
     const ptrdiff_t pos = head.upward ? up[head.tree] : down[head.tree];
     const uint32_t id = entries[pos].second;
     if (stats != nullptr) ++stats->points_accessed;
-    if (verified_epoch_[id] != epoch_) {
-      verified_epoch_[id] = epoch_;
-      verifier.Offer(id);
-    }
+    if (marks.Visit(id)) verifier.Offer(id);
     if (head.upward) {
       ++up[head.tree];
     } else {
@@ -191,12 +184,5 @@ DBLSH_REGISTER_INDEX(
       std::unique_ptr<AnnIndex> index = std::make_unique<LsbForest>(params);
       return index;
     });
-
-
-Status LsbForest::RebindData(const FloatMatrix* data) {
-  DBLSH_RETURN_IF_ERROR(detail::ValidateRebind(Name(), data_, data));
-  data_ = data;
-  return Status::OK();
-}
 
 }  // namespace dblsh

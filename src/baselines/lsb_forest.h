@@ -39,9 +39,6 @@ class LsbForest : public AnnIndex {
 
   std::string Name() const override { return "LSB-Forest"; }
   Status Build(const FloatMatrix* data) override;
-  /// Repoints dataset reads at an equal-content matrix (see
-  /// AnnIndex::RebindData) -- Collection's background-rebuild swap hook.
-  Status RebindData(const FloatMatrix* data) override;
   std::vector<Neighbor> Query(const float* query, size_t k,
                               QueryStats* stats = nullptr) const override;
   size_t NumHashFunctions() const override { return params_.l * params_.k; }
@@ -50,14 +47,11 @@ class LsbForest : public AnnIndex {
   uint64_t ZOrderCode(const float* hashed) const;
 
   LsbForestParams params_;
-  const FloatMatrix* data_ = nullptr;
   std::vector<std::unique_ptr<lsh::StaticHashFamily>> families_;  // per tree
   /// Per tree: (zcode, id) sorted by zcode.
   std::vector<std::vector<std::pair<uint64_t, uint32_t>>> sorted_;
   /// Per tree and component: shift making all hash values non-negative.
   std::vector<std::vector<int64_t>> shifts_;
-  mutable std::vector<uint32_t> verified_epoch_;
-  mutable uint32_t epoch_ = 0;
 };
 
 }  // namespace dblsh

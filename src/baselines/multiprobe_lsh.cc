@@ -6,6 +6,7 @@
 #include <cmath>
 #include <queue>
 
+#include "core/query_marks.h"
 #include "core/verify.h"
 #include "dataset/ground_truth.h"
 #include "util/distance.h"
@@ -73,8 +74,6 @@ Status MultiProbeLsh::Build(const FloatMatrix* data) {
     }
   }
 
-  verified_epoch_.assign(n, 0);
-  epoch_ = 0;
   return Status::OK();
 }
 
@@ -83,10 +82,7 @@ std::vector<Neighbor> MultiProbeLsh::Query(const float* query, size_t k,
   assert(data_ != nullptr && "Build() must succeed before Query()");
   if (k == 0) return {};
   const size_t n = data_->rows();
-  if (++epoch_ == 0) {
-    std::fill(verified_epoch_.begin(), verified_epoch_.end(), 0);
-    epoch_ = 1;
-  }
+  QueryMarks marks = QueryMarks::Begin(n);
 
   const size_t budget =
       std::max<size_t>(100, static_cast<size_t>(params_.beta *
@@ -101,8 +97,7 @@ std::vector<Neighbor> MultiProbeLsh::Query(const float* query, size_t k,
     if (it == table.end()) return false;
     for (const uint32_t id : it->second) {
       if (stats != nullptr) ++stats->points_accessed;
-      if (verified_epoch_[id] == epoch_) continue;
-      verified_epoch_[id] = epoch_;
+      if (!marks.Visit(id)) continue;
       if (verifier.Offer(id)) return true;
     }
     return false;
@@ -196,12 +191,5 @@ DBLSH_REGISTER_INDEX(
       std::unique_ptr<AnnIndex> index = std::make_unique<MultiProbeLsh>(params);
       return index;
     });
-
-
-Status MultiProbeLsh::RebindData(const FloatMatrix* data) {
-  DBLSH_RETURN_IF_ERROR(detail::ValidateRebind(Name(), data_, data));
-  data_ = data;
-  return Status::OK();
-}
 
 }  // namespace dblsh

@@ -36,9 +36,6 @@ class MultiProbeLsh : public AnnIndex {
 
   std::string Name() const override { return "MultiProbe"; }
   Status Build(const FloatMatrix* data) override;
-  /// Repoints dataset reads at an equal-content matrix (see
-  /// AnnIndex::RebindData) -- Collection's background-rebuild swap hook.
-  Status RebindData(const FloatMatrix* data) override;
   std::vector<Neighbor> Query(const float* query, size_t k,
                               QueryStats* stats = nullptr) const override;
   size_t NumHashFunctions() const override { return params_.k * params_.l; }
@@ -51,12 +48,9 @@ class MultiProbeLsh : public AnnIndex {
 
   MultiProbeParams params_;
   double w_ = 1.0;
-  const FloatMatrix* data_ = nullptr;
   std::unique_ptr<lsh::ProjectionBank> bank_;  // l*k directions
   std::vector<double> offsets_;                // l*k offsets in [0, w)
   std::vector<Table> tables_;                  // one per table
-  mutable std::vector<uint32_t> verified_epoch_;
-  mutable uint32_t epoch_ = 0;
 };
 
 }  // namespace dblsh

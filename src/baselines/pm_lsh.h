@@ -41,16 +41,12 @@ class PmLsh : public AnnIndex {
 
   std::string Name() const override { return "PM-LSH"; }
   Status Build(const FloatMatrix* data) override;
-  /// Repoints dataset reads at an equal-content matrix (see
-  /// AnnIndex::RebindData) -- Collection's background-rebuild swap hook.
-  Status RebindData(const FloatMatrix* data) override;
   std::vector<Neighbor> Query(const float* query, size_t k,
                               QueryStats* stats = nullptr) const override;
   size_t NumHashFunctions() const override { return params_.m; }
 
  private:
   PmLshParams params_;
-  const FloatMatrix* data_ = nullptr;
   std::unique_ptr<lsh::ProjectionBank> bank_;
   FloatMatrix projected_;  // n x m
   std::unique_ptr<kdtree::KdTree> tree_;

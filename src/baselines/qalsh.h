@@ -42,9 +42,6 @@ class Qalsh : public AnnIndex {
 
   std::string Name() const override { return "QALSH"; }
   Status Build(const FloatMatrix* data) override;
-  /// Repoints dataset reads at an equal-content matrix (see
-  /// AnnIndex::RebindData) -- Collection's background-rebuild swap hook.
-  Status RebindData(const FloatMatrix* data) override;
   std::vector<Neighbor> Query(const float* query, size_t k,
                               QueryStats* stats = nullptr) const override;
   size_t NumHashFunctions() const override { return params_.m; }
@@ -64,15 +61,9 @@ class Qalsh : public AnnIndex {
   QalshParams params_;
   size_t collision_threshold_ = 0;
   double r_unit_ = 1.0;  ///< radius-ladder unit (sampled NN distance / c)
-  const FloatMatrix* data_ = nullptr;
   std::unique_ptr<lsh::ProjectionBank> bank_;
   FloatMatrix projected_;  // n x m
   std::vector<bptree::BPlusTree> trees_;
-  // Per-query scratch (epoch-stamped collision counters).
-  mutable std::vector<uint16_t> collision_count_;
-  mutable std::vector<uint32_t> count_epoch_;
-  mutable std::vector<uint32_t> verified_epoch_;
-  mutable uint32_t epoch_ = 0;
 };
 
 }  // namespace dblsh

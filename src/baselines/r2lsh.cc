@@ -7,6 +7,7 @@
 #include <queue>
 
 #include "baselines/update_common.h"
+#include "core/query_marks.h"
 #include "core/verify.h"
 #include "dataset/ground_truth.h"
 #include "lsh/collision.h"
@@ -72,10 +73,6 @@ Status R2Lsh::Build(const FloatMatrix* data) {
     DBLSH_RETURN_IF_ERROR(trees_.back().BulkLoad(entries));
   }
 
-  collision_count_.assign(n, 0);
-  count_epoch_.assign(n, 0);
-  verified_epoch_.assign(n, 0);
-  epoch_ = 0;
   return Status::OK();
 }
 
@@ -86,8 +83,6 @@ Status R2Lsh::Insert(uint32_t id) {
   for (size_t s = 0; s < num_spaces_; ++s) {
     trees_[s].Insert(projected_.at(id, 2 * s), id);
   }
-  EnsureEpochScratch(projected_.rows(), &collision_count_, &count_epoch_,
-                     &verified_epoch_);
   return Status::OK();
 }
 
@@ -104,11 +99,7 @@ std::vector<Neighbor> R2Lsh::Query(const float* query, size_t k,
   assert(data_ != nullptr && "Build() must succeed before Query()");
   if (k == 0) return {};
   const size_t n = data_->rows();
-  if (++epoch_ == 0) {
-    std::fill(count_epoch_.begin(), count_epoch_.end(), 0);
-    std::fill(verified_epoch_.begin(), verified_epoch_.end(), 0);
-    epoch_ = 1;
-  }
+  QueryMarks marks = QueryMarks::Begin(n, /*count_collisions=*/true);
 
   std::vector<float> proj_q(params_.m);
   bank_->ProjectAll(query, proj_q.data());
@@ -146,13 +137,8 @@ std::vector<Neighbor> R2Lsh::Query(const float* query, size_t k,
   const double c = params_.c;
 
   auto verify = [&](uint32_t id) -> bool {
-    if (count_epoch_[id] != epoch_) {
-      count_epoch_[id] = epoch_;
-      collision_count_[id] = 0;
-    }
-    if (++collision_count_[id] < collision_threshold_) return false;
-    if (verified_epoch_[id] == epoch_) return false;
-    verified_epoch_[id] = epoch_;
+    if (marks.Collide(id) < collision_threshold_) return false;
+    if (!marks.Visit(id)) return false;
     return verifier.Offer(id);
   };
 
@@ -216,12 +202,5 @@ DBLSH_REGISTER_INDEX(
       std::unique_ptr<AnnIndex> index = std::make_unique<R2Lsh>(params);
       return index;
     });
-
-
-Status R2Lsh::RebindData(const FloatMatrix* data) {
-  DBLSH_RETURN_IF_ERROR(detail::ValidateRebind(Name(), data_, data));
-  data_ = data;
-  return Status::OK();
-}
 
 }  // namespace dblsh

@@ -33,9 +33,6 @@ class R2Lsh : public AnnIndex {
 
   std::string Name() const override { return "R2LSH"; }
   Status Build(const FloatMatrix* data) override;
-  /// Repoints dataset reads at an equal-content matrix (see
-  /// AnnIndex::RebindData) -- Collection's background-rebuild swap hook.
-  Status RebindData(const FloatMatrix* data) override;
   std::vector<Neighbor> Query(const float* query, size_t k,
                               QueryStats* stats = nullptr) const override;
   size_t NumHashFunctions() const override { return params_.m; }
@@ -53,14 +50,9 @@ class R2Lsh : public AnnIndex {
   size_t collision_threshold_ = 0;
   double w_ = 1.0;       ///< disc diameter per unit radius, scaled to data
   double r_unit_ = 1.0;
-  const FloatMatrix* data_ = nullptr;
   std::unique_ptr<lsh::ProjectionBank> bank_;
   FloatMatrix projected_;  // n x m ; space s uses columns (2s, 2s+1)
   std::vector<bptree::BPlusTree> trees_;  // one per space, keyed on dim 2s
-  mutable std::vector<uint16_t> collision_count_;
-  mutable std::vector<uint32_t> count_epoch_;
-  mutable std::vector<uint32_t> verified_epoch_;
-  mutable uint32_t epoch_ = 0;
 };
 
 }  // namespace dblsh

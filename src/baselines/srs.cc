@@ -152,11 +152,4 @@ DBLSH_REGISTER_INDEX(
       return index;
     });
 
-
-Status Srs::RebindData(const FloatMatrix* data) {
-  DBLSH_RETURN_IF_ERROR(detail::ValidateRebind(Name(), data_, data));
-  data_ = data;
-  return Status::OK();
-}
-
 }  // namespace dblsh

@@ -36,9 +36,6 @@ class Srs : public AnnIndex {
 
   std::string Name() const override { return "SRS"; }
   Status Build(const FloatMatrix* data) override;
-  /// Repoints dataset reads at an equal-content matrix (see
-  /// AnnIndex::RebindData) -- Collection's background-rebuild swap hook.
-  Status RebindData(const FloatMatrix* data) override;
   std::vector<Neighbor> Query(const float* query, size_t k,
                               QueryStats* stats = nullptr) const override;
   size_t NumHashFunctions() const override { return params_.m; }
@@ -56,7 +53,6 @@ class Srs : public AnnIndex {
 
  private:
   SrsParams params_;
-  const FloatMatrix* data_ = nullptr;
   std::unique_ptr<lsh::ProjectionBank> bank_;
   FloatMatrix projected_;
   std::unique_ptr<kdtree::KdTree> tree_;

@@ -64,18 +64,6 @@ inline Status CheckEraseTarget(const FloatMatrix* data,
   return Status::OK();
 }
 
-/// Grows the collision-counting methods' id-indexed per-query scratch
-/// (epoch-stamped, so new entries start unstamped at 0) to cover `rows`.
-inline void EnsureEpochScratch(size_t rows, std::vector<uint16_t>* counts,
-                               std::vector<uint32_t>* count_epoch,
-                               std::vector<uint32_t>* verified_epoch) {
-  if (counts->size() < rows) {
-    counts->resize(rows, 0);
-    count_epoch->resize(rows, 0);
-    verified_epoch->resize(rows, 0);
-  }
-}
-
 }  // namespace dblsh
 
 #endif  // DBLSH_BASELINES_UPDATE_COMMON_H_

@@ -6,6 +6,7 @@
 #include <cmath>
 
 #include "baselines/update_common.h"
+#include "core/query_marks.h"
 #include "core/verify.h"
 #include "dataset/ground_truth.h"
 #include "lsh/collision.h"
@@ -69,10 +70,6 @@ Status Vhp::Build(const FloatMatrix* data) {
     DBLSH_RETURN_IF_ERROR(trees_.back().BulkLoad(entries));
   }
 
-  collision_count_.assign(n, 0);
-  count_epoch_.assign(n, 0);
-  verified_epoch_.assign(n, 0);
-  epoch_ = 0;
   return Status::OK();
 }
 
@@ -83,8 +80,6 @@ Status Vhp::Insert(uint32_t id) {
   for (size_t f = 0; f < params_.m; ++f) {
     trees_[f].Insert(projected_.at(id, f), id);
   }
-  EnsureEpochScratch(projected_.rows(), &collision_count_, &count_epoch_,
-                     &verified_epoch_);
   return Status::OK();
 }
 
@@ -101,11 +96,7 @@ std::vector<Neighbor> Vhp::Query(const float* query, size_t k,
   assert(data_ != nullptr && "Build() must succeed before Query()");
   if (k == 0) return {};
   const size_t n = data_->rows();
-  if (++epoch_ == 0) {
-    std::fill(count_epoch_.begin(), count_epoch_.end(), 0);
-    std::fill(verified_epoch_.begin(), verified_epoch_.end(), 0);
-    epoch_ = 1;
-  }
+  QueryMarks marks = QueryMarks::Begin(n, /*count_collisions=*/true);
 
   std::vector<float> proj_q(params_.m);
   bank_->ProjectAll(query, proj_q.data());
@@ -128,13 +119,8 @@ std::vector<Neighbor> Vhp::Query(const float* query, size_t k,
 
   auto process = [&](uint32_t id) -> bool {
     if (stats != nullptr) ++stats->points_accessed;
-    if (count_epoch_[id] != epoch_) {
-      count_epoch_[id] = epoch_;
-      collision_count_[id] = 0;
-    }
-    if (++collision_count_[id] < collision_threshold_) return false;
-    if (verified_epoch_[id] == epoch_) return false;
-    verified_epoch_[id] = epoch_;
+    if (marks.Collide(id) < collision_threshold_) return false;
+    if (!marks.Visit(id)) return false;
     return verifier.Offer(id);
   };
 
@@ -190,12 +176,5 @@ DBLSH_REGISTER_INDEX(
       std::unique_ptr<AnnIndex> index = std::make_unique<Vhp>(params);
       return index;
     });
-
-
-Status Vhp::RebindData(const FloatMatrix* data) {
-  DBLSH_RETURN_IF_ERROR(detail::ValidateRebind(Name(), data_, data));
-  data_ = data;
-  return Status::OK();
-}
 
 }  // namespace dblsh

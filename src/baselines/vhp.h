@@ -37,9 +37,6 @@ class Vhp : public AnnIndex {
 
   std::string Name() const override { return "VHP"; }
   Status Build(const FloatMatrix* data) override;
-  /// Repoints dataset reads at an equal-content matrix (see
-  /// AnnIndex::RebindData) -- Collection's background-rebuild swap hook.
-  Status RebindData(const FloatMatrix* data) override;
   std::vector<Neighbor> Query(const float* query, size_t k,
                               QueryStats* stats = nullptr) const override;
   size_t NumHashFunctions() const override { return params_.m; }
@@ -55,14 +52,9 @@ class Vhp : public AnnIndex {
   size_t collision_threshold_ = 0;
   double w_ = 1.0;
   double r_unit_ = 1.0;
-  const FloatMatrix* data_ = nullptr;
   std::unique_ptr<lsh::ProjectionBank> bank_;
   FloatMatrix projected_;
   std::vector<bptree::BPlusTree> trees_;
-  mutable std::vector<uint16_t> collision_count_;
-  mutable std::vector<uint32_t> count_epoch_;
-  mutable std::vector<uint32_t> verified_epoch_;
-  mutable uint32_t epoch_ = 0;
 };
 
 }  // namespace dblsh

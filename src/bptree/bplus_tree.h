@@ -14,6 +14,10 @@ namespace dblsh::bptree {
 /// the collision-counting baselines (QALSH, R2LSH, VHP) use: one tree per
 /// hash function, queried by walking outward from the query's projection in
 /// both directions via the leaf-linked `Iterator`.
+///
+/// Thread-safety: the const members and Iterators only read, so any number
+/// of threads may query one tree at once (the baselines' concurrent read
+/// path relies on it); BulkLoad, Insert and Erase must not overlap them.
 class BPlusTree {
  public:
   struct Entry {
@@ -25,6 +29,7 @@ class BPlusTree {
     }
   };
 
+  /// An empty tree whose nodes hold at most `fanout` entries.
   explicit BPlusTree(size_t fanout = 64);
   ~BPlusTree();
 
@@ -48,7 +53,9 @@ class BPlusTree {
   /// under (for the LSH baselines: the point's stored projection value).
   Status Erase(float key, uint32_t id);
 
+  /// Number of (key, id) entries held.
   size_t size() const { return size_; }
+  /// Number of levels: 1 for a lone leaf, 0 for an empty tree.
   size_t height() const;
 
   /// Collects ids with key in [lo, hi].
@@ -74,6 +81,7 @@ class BPlusTree {
   /// Last entry with key < `key` (the left neighbor of LowerBound); invalid
   /// if none. Together these seed QALSH's two-directional expansion.
   Iterator UpperNeighborBelow(float key) const;
+  /// The smallest entry; invalid iterator when the tree is empty.
   Iterator Begin() const;
 
   /// Test hook: verifies key ordering, fill factors and leaf links; returns

@@ -5,31 +5,6 @@
 
 namespace dblsh {
 
-namespace detail {
-
-Status ValidateRebind(const std::string& method, const FloatMatrix* current,
-                      const FloatMatrix* target) {
-  if (current == nullptr) {
-    return Status::InvalidArgument(method +
-                                   ": RebindData requires a built index");
-  }
-  if (target == nullptr) {
-    return Status::InvalidArgument(method + ": RebindData target is null");
-  }
-  if (target->rows() != current->rows() ||
-      target->cols() != current->cols()) {
-    return Status::InvalidArgument(
-        method + ": RebindData target shape " +
-        std::to_string(target->rows()) + "x" +
-        std::to_string(target->cols()) + " does not match the built " +
-        std::to_string(current->rows()) + "x" +
-        std::to_string(current->cols()));
-  }
-  return Status::OK();
-}
-
-}  // namespace detail
-
 Status AnnIndex::Insert(uint32_t /*id*/) {
   return Status::Unimplemented(
       Name() +
@@ -37,11 +12,22 @@ Status AnnIndex::Insert(uint32_t /*id*/) {
       "rebuild the index to absorb new points");
 }
 
-Status AnnIndex::RebindData(const FloatMatrix* /*data*/) {
-  return Status::Unimplemented(
-      Name() +
-      " does not support rebinding its dataset reference; rebuild over the "
-      "target matrix instead");
+Status AnnIndex::RebindData(const FloatMatrix* data) {
+  if (data_ == nullptr) {
+    return Status::InvalidArgument(Name() +
+                                   ": RebindData requires a built index");
+  }
+  if (data == nullptr) {
+    return Status::InvalidArgument(Name() + ": RebindData target is null");
+  }
+  if (data->rows() != data_->rows() || data->cols() != data_->cols()) {
+    return Status::InvalidArgument(
+        Name() + ": RebindData target shape " + std::to_string(data->rows()) +
+        "x" + std::to_string(data->cols()) + " does not match the built " +
+        std::to_string(data_->rows()) + "x" + std::to_string(data_->cols()));
+  }
+  data_ = data;
+  return Status::OK();
 }
 
 Status AnnIndex::Erase(uint32_t /*id*/) {
@@ -68,11 +54,7 @@ std::vector<QueryResponse> AnnIndex::QueryBatch(const FloatMatrix& queries,
                                                 const QueryRequest& request,
                                                 size_t num_threads) const {
   std::vector<QueryResponse> responses(queries.rows());
-  if (!SupportsConcurrentQueries()) {
-    num_threads = 1;
-  } else if (num_threads == 0) {
-    num_threads = exec::HardwareConcurrency();
-  }
+  if (num_threads == 0) num_threads = exec::HardwareConcurrency();
   exec::TaskExecutor::Default().ParallelFor(
       responses.size(),
       [&](size_t q) { responses[q] = Search(queries.row(q), request); },

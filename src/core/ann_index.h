@@ -21,6 +21,13 @@ namespace dblsh {
 /// per-method implementation hook; new callers use the request/response
 /// API, which folds QueryStats into the result.
 ///
+/// Concurrency contract: Search() and Query() on a built index must be safe
+/// to call from any number of threads at once. Every method keeps it the
+/// same way: a query only reads the index's structures and dataset, and
+/// its own state lives in locals, its CandidateVerifier and the calling
+/// thread's QueryMarks (core/query_marks.h). Build(), Insert(), Erase()
+/// and RebindData() write, so they must not overlap queries or each other.
+///
 /// Serving note: AnnIndex is the per-method plumbing layer. Applications
 /// that own a mutable dataset, want several methods over it, need
 /// concurrent reads under writes, or want the update protocol sequenced
@@ -35,7 +42,8 @@ class AnnIndex {
   /// Method name as used in the paper's tables, e.g. "DB-LSH".
   virtual std::string Name() const = 0;
 
-  /// Builds the index over `data`, which must outlive the index.
+  /// Builds the index over `data`, which must outlive the index, and
+  /// points `data_` at it.
   virtual Status Build(const FloatMatrix* data) = 0;
 
   /// Returns (up to) the k approximate nearest neighbors of `query`,
@@ -58,22 +66,11 @@ class AnnIndex {
   /// Answers every row of `queries` under one request: response q equals
   /// Search(queries.row(q), request). The rows run on the default executor
   /// (TaskExecutor::Default().ParallelFor) at a parallelism of
-  /// `num_threads` when the index declares its read path thread-safe
-  /// (SupportsConcurrentQueries), and sequentially on the caller
-  /// otherwise, so it is always safe to call. `num_threads = 0` uses the
-  /// hardware concurrency; pass 1 when timing per-query latency.
+  /// `num_threads`; `num_threads = 0` uses the hardware concurrency. Pass 1
+  /// when timing per-query latency.
   std::vector<QueryResponse> QueryBatch(const FloatMatrix& queries,
                                         const QueryRequest& request,
                                         size_t num_threads = 0) const;
-
-  /// True when concurrent Search() calls on one built index are safe. The
-  /// default is false: most LSH baselines keep epoch-stamped per-query
-  /// scratch in `mutable` members, making them thread-compatible but not
-  /// thread-safe. LinearScan (reentrant read path) and DB-LSH/FB-LSH
-  /// (thread-local query scratch) opt in, which is what lets a Collection
-  /// serve them to many reader threads under one shared lock; Collection
-  /// serializes queries to the remaining methods per index.
-  virtual bool SupportsConcurrentQueries() const { return false; }
 
   /// True when this built index implements Insert()/Erase() natively, i.e.
   /// its structures can absorb point mutations without a rebuild. Methods
@@ -108,12 +105,13 @@ class AnnIndex {
   /// the swap-in hook for Collection's background rebuilds: a replacement
   /// index is built over a snapshot copy off the write lock, then rebound
   /// to the live matrix under it once the shard is verified unchanged.
-  /// Every registered method implements it (the verification path reads
-  /// rows through one stored matrix pointer); the default returns
-  /// Unimplemented, which makes the Collection fall back to an inline
-  /// rebuild for exotic external indexes. Not thread-safe with concurrent
-  /// queries — callers hold the exclusive lock.
-  virtual Status RebindData(const FloatMatrix* data);
+  /// Every method reads dataset rows only through `data_`, so repointing
+  /// it is the whole rebind. InvalidArgument when the index is not built (its Build
+  /// never set `data_`), `data` is null, or its shape differs from the
+  /// built matrix's; the Collection then rebuilds in place. Content
+  /// equality is the caller's contract and is not re-verified. Not
+  /// thread-safe with concurrent queries — callers hold the exclusive lock.
+  Status RebindData(const FloatMatrix* data);
 
   /// Removes row `id` from this index's structures so its slot can later be
   /// recycled by FloatMatrix::InsertRow.
@@ -131,18 +129,12 @@ class AnnIndex {
   /// Number of hash functions held, the paper's proxy for index size
   /// (IndexSize = n x #HashFunctions for all methods except LSB-Forest).
   virtual size_t NumHashFunctions() const = 0;
+
+ protected:
+  /// The dataset every query reads rows from: set by Build, repointed by
+  /// RebindData, null until a Build sets it.
+  const FloatMatrix* data_ = nullptr;
 };
-
-namespace detail {
-
-/// Shared precondition check for the RebindData implementations: the index
-/// must be built (`current` non-null) and `target` must match its shape.
-/// Content equality is the caller's contract — it is what makes the
-/// pointer swap sound — and is not re-verified here.
-Status ValidateRebind(const std::string& method, const FloatMatrix* current,
-                      const FloatMatrix* target);
-
-}  // namespace detail
 
 }  // namespace dblsh
 

@@ -358,7 +358,6 @@ Status Collection::AddIndex(const std::string& index_spec) {
     slot.index = std::move(instances[s]);
     slot.built = shards_[s]->data->live_rows() > 0;
     slot.rebuild_threshold = rebuild_threshold;
-    slot.query_mutex = std::make_unique<std::mutex>();
     // Empty shard: stay unbuilt; the shard's first mutation triggers the
     // lazy build (MaybeRebuildLocked).
     shards_[s]->slots.push_back(std::move(slot));
@@ -398,7 +397,6 @@ Status Collection::AddPrebuiltIndex(const std::string& name,
   slot.index = std::move(index);
   slot.built = true;
   slot.rebuild_threshold = std::max<size_t>(1, rebuild_threshold);
-  slot.query_mutex = std::make_unique<std::mutex>();
   shard.slots.push_back(std::move(slot));
   return Status::OK();
 }
@@ -432,7 +430,6 @@ std::vector<CollectionIndexInfo> Collection::Indexes() const {
     info.name = first.name;
     info.method = first.index->Name();
     info.supports_updates = first.index->SupportsUpdates();
-    info.concurrent_queries = first.index->SupportsConcurrentQueries();
     info.rebuild_threshold = first.rebuild_threshold;
     // Built aggregate: some shard's instance serves, and no shard that has
     // content is left unbuilt. (A slot over an empty shard serves that

@@ -98,7 +98,6 @@ struct CollectionIndexInfo {
   std::string name;          ///< slot name (`name=` spec key or method name)
   std::string method;        ///< AnnIndex::Name() of the wrapped index
   bool supports_updates = false;    ///< absorbs mutations in place
-  bool concurrent_queries = false;  ///< readers fan out without serializing
   bool built = false;        ///< false until the first (lazy) build succeeds
   size_t staleness = 0;      ///< mutations not yet absorbed by the structure
   size_t rebuild_threshold = 0;  ///< staleness level that triggers a rebuild
@@ -244,9 +243,8 @@ struct CollectionDurabilityInfo {
 /// half-applied update — each mutation touches exactly one shard, so every
 /// query sees each shard exactly as some committed epoch left it. Each
 /// committed mutation advances the collection epoch counter (epoch()).
-/// Reads on indexes whose SupportsConcurrentQueries() is false are
-/// additionally serialized per (shard, slot) by a query mutex; DB-LSH /
-/// FB-LSH and LinearScan fan out freely.
+/// Readers of one index never serialize among themselves: every method's
+/// read path is safe to run concurrently (see AnnIndex).
 ///
 /// **Sharding — fan-out/merge search, contention-free writers.** With
 /// `shards = S > 1` the dataset is partitioned by id across S segments.
@@ -403,11 +401,10 @@ class Collection {
   /// Batched Search over every row of `queries`: response q equals
   /// Search(queries.row(q), request, index_name). The (query x shard) grid
   /// always runs on the collection's executor, at most `num_threads` cells
-  /// at a time, each cell one shard's SearchShard; cells on a
-  /// thread-compatible slot (SupportsConcurrentQueries() == false)
-  /// serialize on its query lock. `num_threads = 0` uses hardware
-  /// concurrency; pass 1 when timing per-query latency. A zero-row batch
-  /// returns no responses, built or not.
+  /// at a time, each cell one shard's SearchShard, for every method alike.
+  /// `num_threads = 0` uses hardware concurrency; pass 1 when timing
+  /// per-query latency. A zero-row batch returns no responses, built or
+  /// not.
   Result<std::vector<QueryResponse>> SearchBatch(
       const FloatMatrix& queries, const QueryRequest& request,
       const std::string& index_name = "", size_t num_threads = 0) const;
@@ -532,9 +529,6 @@ class Collection {
     /// True from background-rebuild scheduling until the task exits.
     bool rebuild_scheduled = false;
     std::string build_error;  ///< last failed automatic build, "" = healthy
-    /// Serializes queries on indexes whose read path is only
-    /// thread-compatible (SupportsConcurrentQueries() == false).
-    std::unique_ptr<std::mutex> query_mutex;
   };
 
   /// One id-space partition: its rows, its index instances (local-id
@@ -724,13 +718,9 @@ class Collection {
                                    const QueryRequest& request,
                                    QueryRequest* local) const;
 
-  /// Holds `slot`'s query mutex when its read path is only
-  /// thread-compatible; an empty lock otherwise.
-  static std::unique_lock<std::mutex> QueryLock(const Slot& slot);
-
   /// One shard's part of a fan-out search, under the shard's shared lock:
-  /// route, inflate k (ShardRequest), search under the query lock, then
-  /// re-rank. Local ids in `out->response`.
+  /// route, inflate k (ShardRequest), search, then re-rank. Local ids in
+  /// `out->response`.
   void SearchShard(size_t shard_index, const float* query,
                    const QueryRequest& request, const std::string& index_name,
                    ShardAnswer* out) const;

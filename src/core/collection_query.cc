@@ -1,9 +1,8 @@
 // The Collection read path: routing, the one serve path every shard
-// search takes (route, inflate k, query lock, re-rank), the exact
-// fan-out merge, and Search / SearchBatch on top of them.
+// search takes (route, inflate k, search, re-rank), the exact fan-out
+// merge, and Search / SearchBatch on top of them.
 #include <algorithm>
 #include <cmath>
-#include <mutex>
 #include <shared_mutex>
 #include <utility>
 
@@ -70,13 +69,6 @@ const QueryRequest& Collection::ShardRequest(size_t shard_index,
   return *local;
 }
 
-std::unique_lock<std::mutex> Collection::QueryLock(const Slot& slot) {
-  // Thread-compatible read path: readers of this slot serialize among
-  // themselves (writers are already excluded by the shard's shared lock).
-  if (slot.index->SupportsConcurrentQueries()) return {};
-  return std::unique_lock(*slot.query_mutex);
-}
-
 void Collection::SearchShard(size_t shard_index, const float* query,
                              const QueryRequest& request,
                              const std::string& index_name,
@@ -93,11 +85,8 @@ void Collection::SearchShard(size_t shard_index, const float* query,
   }
   const Slot& slot = shard.slots[static_cast<size_t>(route)];
   QueryRequest local;
-  {
-    const auto serialize = QueryLock(slot);
-    out->response =
-        slot.index->Search(query, ShardRequest(shard_index, request, &local));
-  }
+  out->response =
+      slot.index->Search(query, ShardRequest(shard_index, request, &local));
   if (quantized_) RerankLocked(shard, query, request.k, &out->response);
 }
 

@@ -130,19 +130,6 @@ Status DbLsh::Build(const FloatMatrix* data) {
   return Status::OK();
 }
 
-DbLsh::Scratch& DbLsh::ThreadLocalScratch() const {
-  static thread_local Scratch scratch;
-  if (scratch.visited.size() != data_->rows()) {
-    scratch.visited.assign(data_->rows(), 0);
-    scratch.epoch = 0;
-  }
-  if (++scratch.epoch == 0) {  // epoch wrapped: reset stamps
-    std::fill(scratch.visited.begin(), scratch.visited.end(), 0);
-    scratch.epoch = 1;
-  }
-  return scratch;
-}
-
 rtree::Rect DbLsh::MakeBucket(const float* proj_center, size_t tree_index,
                               double width) const {
   if (params_.bucketing == BucketingMode::kDynamicQueryCentric) {
@@ -164,14 +151,11 @@ rtree::Rect DbLsh::MakeBucket(const float* proj_center, size_t tree_index,
   return cell;
 }
 
-bool DbLsh::RunRound(const float* query, double r,
-                     CandidateVerifier* verifier,
-                     std::vector<uint32_t>* visited_mark,
-                     uint32_t query_epoch, QueryStats* stats) const {
+bool DbLsh::RunRound(const float* proj, double r,
+                     CandidateVerifier* verifier, QueryMarks marks,
+                     QueryStats* stats) const {
   const double width = params_.w0 * r;
   const double c = params_.c;
-  std::vector<float> proj(params_.l * params_.k);
-  bank_->ProjectAll(query, proj.data());
 
   // Algorithm 1's termination tests — candidate budget exhausted, or the
   // k-th best distance certifying a (r,c)-NN result (optionally relaxed by
@@ -184,13 +168,12 @@ bool DbLsh::RunRound(const float* query, double r,
   // to the batch verifier. Returns true when Algorithm 1 may terminate.
   auto process = [&](uint32_t id) -> bool {
     if (stats != nullptr) ++stats->points_accessed;
-    if ((*visited_mark)[id] == query_epoch) return false;
-    (*visited_mark)[id] = query_epoch;
+    if (!marks.Visit(id)) return false;
     return verifier->Offer(id);
   };
 
   for (size_t i = 0; i < params_.l; ++i) {
-    const float* center = proj.data() + i * params_.k;
+    const float* center = proj + i * params_.k;
     const rtree::Rect bucket = MakeBucket(center, i, width);
     if (stats != nullptr) ++stats->window_queries;
     uint32_t id = 0;
@@ -200,13 +183,8 @@ bool DbLsh::RunRound(const float* query, double r,
         if (process(id)) return true;
       }
     } else {
-      std::vector<float> lo(params_.k), hi(params_.k);
-      for (size_t j = 0; j < params_.k; ++j) {
-        lo[j] = bucket.lo(j);
-        hi[j] = bucket.hi(j);
-      }
-      kdtree::KdTree::WindowCursor cursor(kd_trees_[i].get(), lo.data(),
-                                          hi.data());
+      kdtree::KdTree::WindowCursor cursor(kd_trees_[i].get(),
+                                          bucket.lo_data(), bucket.hi_data());
       while (cursor.Next(&id)) {
         if (process(id)) return true;
       }
@@ -243,7 +221,10 @@ std::vector<Neighbor> DbLsh::QueryImpl(const float* query, size_t k, size_t t,
   assert(data_ != nullptr && "Build() must succeed before Query()");
   if (k == 0 || data_ == nullptr) return {};
 
-  Scratch& scratch = ThreadLocalScratch();
+  const QueryMarks marks = QueryMarks::Begin(data_->rows());
+  // The projection does not depend on r: one per query serves every round.
+  std::vector<float> proj(params_.l * params_.k);
+  bank_->ProjectAll(query, proj.data());
   TopKHeap heap(k);
   CandidateVerifier verifier(query, data_, &heap, stats);
   verifier.set_budget(2 * t * params_.l + k);
@@ -253,10 +234,7 @@ std::vector<Neighbor> DbLsh::QueryImpl(const float* query, size_t k, size_t t,
   // the window to outgrow any float data spread).
   for (size_t round = 0; round < 256; ++round) {
     if (stats != nullptr) ++stats->rounds;
-    if (RunRound(query, r, &verifier, &scratch.visited, scratch.epoch,
-                 stats)) {
-      break;
-    }
+    if (RunRound(proj.data(), r, &verifier, marks, stats)) break;
     r *= params_.c;
   }
   return heap.TakeSorted();
@@ -265,14 +243,15 @@ std::vector<Neighbor> DbLsh::QueryImpl(const float* query, size_t k, size_t t,
 std::optional<Neighbor> DbLsh::RcNnQuery(const float* query, double r,
                                          QueryStats* stats) const {
   assert(data_ != nullptr && "Build() must succeed before Query()");
-  Scratch& scratch = ThreadLocalScratch();
+  const QueryMarks marks = QueryMarks::Begin(data_->rows());
+  std::vector<float> proj(params_.l * params_.k);
+  bank_->ProjectAll(query, proj.data());
   const size_t budget = 2 * params_.t * params_.l + 1;
   TopKHeap heap(1);
   CandidateVerifier verifier(query, data_, &heap, stats);
   verifier.set_budget(budget);
   if (stats != nullptr) ++stats->rounds;
-  const bool done = RunRound(query, r, &verifier, &scratch.visited,
-                             scratch.epoch, stats);
+  const bool done = RunRound(proj.data(), r, &verifier, marks, stats);
   if (!done && heap.Size() == 0) return std::nullopt;
   std::vector<Neighbor> best = heap.TakeSorted();
   if (best.empty()) return std::nullopt;
@@ -401,12 +380,5 @@ DBLSH_REGISTER_INDEX(
           std::make_unique<DbLsh>(params.value());
       return index;
     });
-
-
-Status DbLsh::RebindData(const FloatMatrix* data) {
-  DBLSH_RETURN_IF_ERROR(detail::ValidateRebind(Name(), data_, data));
-  data_ = data;
-  return Status::OK();
-}
 
 }  // namespace dblsh

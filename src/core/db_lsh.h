@@ -8,6 +8,7 @@
 
 #include "core/ann_index.h"
 #include "core/index_factory.h"
+#include "core/query_marks.h"
 #include "core/verify.h"
 #include "dataset/float_matrix.h"
 #include "dataset/vector_store.h"
@@ -85,25 +86,15 @@ class DbLsh : public AnnIndex {
   /// L spaces and builds one index per space. Live rows only when `data`
   /// carries tombstones. `data` must outlive the index.
   Status Build(const FloatMatrix* data) override;
-  /// Repoints dataset reads at an equal-content matrix (see
-  /// AnnIndex::RebindData) -- Collection's background-rebuild swap hook.
-  Status RebindData(const FloatMatrix* data) override;
-  /// c-ANN query via the (r,c)-NN cascade. The visited stamps live in the
-  /// calling thread's scratch, so concurrent calls from different threads
-  /// are safe.
+  /// c-ANN query via the (r,c)-NN cascade. The visited stamps are the
+  /// calling thread's QueryMarks, so concurrent calls are safe.
   std::vector<Neighbor> Query(const float* query, size_t k,
                               QueryStats* stats = nullptr) const override;
   /// Honors the request's candidate-budget (`t` of Remark 2) and starting
   /// radius overrides, so one built index serves per-query accuracy/latency
-  /// trades without rebuilding. AnnIndex::QueryBatch runs this per row, on
-  /// each executor thread's own scratch.
+  /// trades without rebuilding. AnnIndex::QueryBatch runs this per row.
   QueryResponse Search(const float* query,
                        const QueryRequest& request) const override;
-  /// The read path is thread-safe: a query's state is the thread's
-  /// scratch (visited stamps) and its CandidateVerifier (scoring), and
-  /// every structure access is const. This is what lets a Collection fan
-  /// reader threads into one built DB-LSH under its shared lock.
-  bool SupportsConcurrentQueries() const override { return true; }
   /// K*L: the paper's index-size proxy (n entries per hash function).
   size_t NumHashFunctions() const override { return params_.k * params_.l; }
 
@@ -192,30 +183,13 @@ class DbLsh : public AnnIndex {
                                      uint64_t dim, FloatMatrix* data,
                                      VectorStore* store);
 
-  /// Runs one round of L window queries at radius r, feeding candidates into
-  /// `verifier` (which owns the heap, budget and certification bound) until
-  /// the budget is exhausted or the k-th distance drops below c*r. Returns
-  /// true when the query can terminate.
-  bool RunRound(const float* query, double r, CandidateVerifier* verifier,
-                std::vector<uint32_t>* visited_mark, uint32_t query_epoch,
-                QueryStats* stats) const;
-
-  /// A query's visited-point stamps: row id -> the epoch of the last query
-  /// that saw it.
-  struct Scratch {
-    std::vector<uint32_t> visited;
-    uint32_t epoch = 0;
-  };
-
-  /// The calling thread's scratch, the only one there is, made ready for
-  /// a new query on this index: sized to its row count and advanced to a
-  /// fresh epoch. One scratch is shared by every DbLsh instance on the
-  /// thread: a row-count mismatch re-assigns the stamp buffer (growing or
-  /// shrinking — a thread parks at most one dataset's worth of stamps, not
-  /// a high-water mark) and the epoch is monotone per buffer, so stamps
-  /// written through one index can never alias another index's current
-  /// epoch.
-  Scratch& ThreadLocalScratch() const;
+  /// Runs one round of L window queries at radius r around the query's
+  /// projection `proj` (L*K floats, ProjectAll's layout), feeding the ids
+  /// `marks` has not seen into `verifier` (which owns the heap, budget and
+  /// certification bound) until the budget is exhausted or the k-th
+  /// distance drops below c*r. Returns true when the query can terminate.
+  bool RunRound(const float* proj, double r, CandidateVerifier* verifier,
+                QueryMarks marks, QueryStats* stats) const;
 
   /// Shared query path: the (r,c)-NN cascade with an explicit candidate
   /// budget constant `t` and starting radius `r0` (the per-query override
@@ -227,7 +201,6 @@ class DbLsh : public AnnIndex {
                          double width) const;
 
   DbLshParams params_;
-  const FloatMatrix* data_ = nullptr;
   std::unique_ptr<lsh::ProjectionBank> bank_;  // l*k functions
   /// The kKdTree backend's l projected spaces (n x k each), which the
   /// kd-trees read in place. Empty for the kRStarTree backend, whose trees

@@ -89,8 +89,8 @@ class TaskExecutor {
   /// stop after the first exception, which is rethrown here. Blocks until
   /// every started iteration finished; `body` is only used before this
   /// call returns. Iterations are handed out dynamically, so per-thread
-  /// state belongs in the thread's own storage (DbLsh's thread-local
-  /// scratch), not in the loop.
+  /// state belongs in the thread's own storage (core/query_marks.h's
+  /// QueryMarks), not in the loop.
   void ParallelFor(size_t n, const std::function<void(size_t)>& body,
                    size_t max_parallelism = 0);
 

@@ -20,6 +20,10 @@ namespace dblsh::kdtree {
 /// This stands in for the paper's PM-tree (see DESIGN.md substitutions): in
 /// a coordinate space of m ~ 15 dimensions, both structures provide exact
 /// incremental NN; the PM-LSH algorithm above it is unchanged.
+///
+/// Thread-safety: the tree is immutable once built and its queries and
+/// cursors only read it, so any number of threads may query one tree at
+/// once (each with its own cursors).
 class KdTree {
  private:
   struct Node;  // defined below; forward-declared for the nested cursors
@@ -28,7 +32,9 @@ class KdTree {
   /// Builds over all rows of `points`, which must outlive the tree.
   explicit KdTree(const FloatMatrix* points, size_t leaf_size = 16);
 
+  /// Number of indexed rows.
   size_t size() const { return points_->rows(); }
+  /// Dimensionality of the indexed space.
   size_t dim() const { return points_->cols(); }
 
   /// Exact k nearest rows to `query` (ascending distance).

@@ -375,9 +375,8 @@ TEST(CollectionRoutingTest, RoutesExplicitlyAndByFreshness) {
 
 TEST(CollectionRoutingTest, SearchBatchServesAllRowsUnderOneRoute) {
   // A batch answers exactly what per-row Search calls answer — ids and
-  // distances — for every route (PM-LSH is thread-compatible only: its
-  // cells serialize on the slot's query lock), at 1 and 3 threads, on fp32
-  // and on sq8 storage (per-row re-rank).
+  // distances — for every route (no route's cells serialize), at 1 and 3
+  // threads, on fp32 and on sq8 storage (per-row re-rank).
   const FloatMatrix queries = EasyData(8, 16, 902);
   QueryRequest request;
   request.k = 5;
@@ -598,8 +597,9 @@ TEST(CollectionOracleTest, RandomizedInterleavingMatchesLinearScanOracle) {
 // -------------------------------------- threaded reader/writer stress -----
 
 // One writer thread streams Upsert/Delete traffic while reader tasks
-// hammer Search on every slot (concurrent-read DB-LSH, per-slot-serialized
-// PM-LSH, exact LinearScan). Readers assert per-response invariants that
+// hammer Search on every slot (DB-LSH, PM-LSH, the updatable
+// collision-counting QALSH, exact LinearScan), none of them serialized
+// among readers. Readers assert per-response invariants that
 // hold at EVERY epoch (sortedness, liveness-independent filter exclusion);
 // the writer pauses at checkpoints so the oracle can be compared against a
 // consistent snapshot while readers keep running. The readers run as tasks
@@ -623,7 +623,8 @@ void RunReadersUnderWriterStress(const std::string& spec) {
   constexpr size_t kBatchOps = 25;
   std::atomic<bool> done{false};
   std::atomic<size_t> reader_queries{0};
-  std::vector<std::string> routes = {"DB-LSH", "PM-LSH", "LinearScan", ""};
+  std::vector<std::string> routes = {"DB-LSH", "PM-LSH", "QALSH",
+                                     "LinearScan", ""};
 
   exec::TaskExecutor reader_pool(kReaders);
   std::vector<std::future<void>> readers;
@@ -717,13 +718,14 @@ void RunReadersUnderWriterStress(const std::string& spec) {
 
 TEST(ConcurrentCollectionTest, ReadersStayCoherentUnderWriter) {
   RunReadersUnderWriterStress(
-      "collection: DB-LSH,t=16; PM-LSH,rebuild_threshold=64; LinearScan");
+      "collection: DB-LSH,t=16; PM-LSH,rebuild_threshold=64; QALSH; "
+      "LinearScan");
 }
 
 TEST(ConcurrentCollectionTest, ReadersStayCoherentUnderWriterSharded) {
   RunReadersUnderWriterStress(
       "collection,shards=4,rebuild=background: DB-LSH,t=16; "
-      "PM-LSH,rebuild_threshold=64; LinearScan");
+      "PM-LSH,rebuild_threshold=64; QALSH; LinearScan");
 }
 
 // ---------------------------------------------------------- adoption ------

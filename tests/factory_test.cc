@@ -189,14 +189,23 @@ TEST(QueryApiTest, PerQueryCandidateBudgetOverrideIsHonored) {
             2 * tight.candidate_budget * db->params().l + tight.k);
 }
 
+// Every method's read path is safe to run concurrently: batched rows run
+// on the executor's threads, several at once, and must reproduce the
+// single-threaded answer id for id and distance for distance. TSan runs
+// this, so a method that kept per-query state in the index would fail.
+// 300 rows keep the batch's threads busy long enough to overlap: with a
+// few dozen, one thread can drain a fast method's whole batch before the
+// others wake, and TSan then sees no race.
 TEST(QueryApiTest, BatchMatchesSequentialSearch) {
   const FloatMatrix data =
       GenerateClustered({.n = 1200, .dim = 16, .clusters = 10, .seed = 21});
   FloatMatrix queries;
-  for (size_t i = 0; i < 16; ++i) {
-    queries.AppendRow(data.row(i * 70), data.cols());
+  for (size_t i = 0; i < 300; ++i) {
+    queries.AppendRow(data.row(i * 4), data.cols());
   }
-  for (const char* spec : {"DB-LSH", "LinearScan", "PM-LSH"}) {
+  const std::vector<std::string> methods = IndexFactory::ListMethods();
+  ASSERT_EQ(methods.size(), 12u);
+  for (const std::string& spec : methods) {
     SCOPED_TRACE(spec);
     auto made = IndexFactory::Make(spec);
     ASSERT_TRUE(made.ok());

@@ -8,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "baselines/qalsh.h"
 #include "baselines/srs.h"
 #include "core/db_lsh.h"
 #include "dataset/ground_truth.h"
@@ -253,10 +254,10 @@ TEST(ParallelQueryTest, SingleThreadAndEmptyInputs) {
 }
 
 TEST(ParallelQueryTest, ScratchReuseAcrossManyQueries) {
-  // Exercises the epoch machinery of the thread's scratch, which every
-  // DbLsh instance on the thread shares: a second index over fewer rows
-  // queried between the two runs of each query forces the scratch to
-  // resize, twice, between them.
+  // Exercises the epoch machinery of the thread's QueryMarks, which every
+  // index on the thread shares: between the two runs of each query, a
+  // DbLsh and a collision-counting QALSH over fewer rows stamp the same
+  // buffers, so one scratch serves both method kinds and both sizes.
   const Fixture& f = SharedFixture();
   DbLsh index;
   ASSERT_TRUE(index.Build(&f.data).ok());
@@ -264,10 +265,13 @@ TEST(ParallelQueryTest, ScratchReuseAcrossManyQueries) {
       GenerateClustered({.n = 700, .dim = 32, .clusters = 4, .seed = 2003});
   DbLsh other;
   ASSERT_TRUE(other.Build(&fewer).ok());
+  Qalsh counting;
+  ASSERT_TRUE(counting.Build(&fewer).ok());
   for (int repeat = 0; repeat < 3; ++repeat) {
     for (size_t q = 0; q < f.queries.rows(); ++q) {
       const auto a = index.Query(f.queries.row(q), 5);
       EXPECT_FALSE(other.Query(f.queries.row(q), 5).empty());
+      EXPECT_FALSE(counting.Query(f.queries.row(q), 5).empty());
       const auto b = index.Query(f.queries.row(q), 5);
       ASSERT_EQ(a.size(), b.size());
       for (size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i].id, b[i].id);
