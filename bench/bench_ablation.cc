@@ -1,11 +1,13 @@
-// Ablation benches for the design choices DESIGN.md calls out:
+// Ablation benches for DB-LSH's design choices:
 //   bucketing  - dynamic query-centric buckets vs fixed grid cells on the
 //                identical (K,L)-index (the paper's DB-LSH vs FB-LSH story)
 //   bulkload   - STR bulk loading vs one-by-one R* insertion (the paper
 //                credits bulk loading for DB-LSH's smallest indexing time)
 //   t_sweep    - candidate budget constant t of Remark 2
 //   w0_sweep   - initial bucket width w0 = 2 gamma c^2 of Lemma 3
-// Run all by default or one via --exp=<name>.
+//   early_stop - early-termination slack (the paper's Sec. VII direction)
+// Run all by default or one via --exp=<name>. The datasets are laptop-scale
+// stand-ins (docs/ARCHITECTURE.md, "Substitutions").
 #include <cstdio>
 #include <string>
 
@@ -24,7 +26,7 @@ void RunBucketing(const eval::Workload& workload) {
     const std::string spec = std::string("DB-LSH,k=8,l=5,t=40,bucketing=") +
                              (dynamic ? "dynamic" : "fixed");
     auto result = eval::RunSpec(spec, workload);
-    if (!result.ok()) continue;
+    bench::ExitIfFailed(spec, result.status());
     const auto& r = result.value();
     table.AddRow({dynamic ? "dynamic (DB-LSH)" : "fixed grid (FB-LSH)",
                   eval::Table::FmtMs(r.avg_query_ms),
@@ -44,7 +46,7 @@ void RunBulkLoad(const eval::Workload& workload) {
     const std::string spec =
         std::string("DB-LSH,bulk_load=") + (bulk ? "1" : "0");
     auto result = eval::RunSpec(spec, workload);
-    if (!result.ok()) continue;
+    bench::ExitIfFailed(spec, result.status());
     const auto& r = result.value();
     table.AddRow({bulk ? "STR bulk load" : "one-by-one R* insert",
                   eval::Table::Fmt(r.indexing_time_sec, 3),
@@ -60,9 +62,9 @@ void RunTSweep(const eval::Workload& workload) {
   eval::Table table({"t", "Budget 2tL+k", "QueryTime", "Recall",
                      "OverallRatio"});
   for (const size_t t : {5, 10, 20, 40, 80, 160, 320}) {
-    auto result =
-        eval::RunSpec("DB-LSH,l=5,t=" + std::to_string(t), workload);
-    if (!result.ok()) continue;
+    const std::string spec = "DB-LSH,l=5,t=" + std::to_string(t);
+    auto result = eval::RunSpec(spec, workload);
+    bench::ExitIfFailed(spec, result.status());
     const auto& r = result.value();
     table.AddRow({std::to_string(t),
                   std::to_string(2 * t * 5 + workload.k),
@@ -74,33 +76,16 @@ void RunTSweep(const eval::Workload& workload) {
   std::printf("\n");
 }
 
-void RunBackend(const eval::Workload& workload) {
-  std::printf("--- Ablation: window-query index backend ---\n");
-  eval::Table table({"Backend", "IndexingTime(s)", "QueryTime", "Recall"});
-  for (const bool rtree : {true, false}) {
-    const std::string spec =
-        std::string("DB-LSH,backend=") + (rtree ? "rtree" : "kdtree");
-    auto result = eval::RunSpec(spec, workload);
-    if (!result.ok()) continue;
-    const auto& r = result.value();
-    table.AddRow({rtree ? "R*-tree (paper)" : "kd-tree",
-                  eval::Table::Fmt(r.indexing_time_sec, 3),
-                  eval::Table::FmtMs(r.avg_query_ms),
-                  eval::Table::Fmt(r.recall, 4)});
-  }
-  table.Print();
-  std::printf("\n");
-}
-
 void RunEarlyStop(const eval::Workload& workload) {
   std::printf(
       "--- Ablation: early-stop slack (Sec. VII future work) ---\n");
   eval::Table table({"Slack", "QueryTime", "Recall", "OverallRatio",
                      "AvgCandidates"});
   for (const double slack : {1.0, 1.25, 1.5, 2.0, 3.0}) {
-    auto result = eval::RunSpec(
-        "DB-LSH,early_stop_slack=" + eval::Table::Fmt(slack, 2), workload);
-    if (!result.ok()) continue;
+    const std::string spec =
+        "DB-LSH,early_stop_slack=" + eval::Table::Fmt(slack, 2);
+    auto result = eval::RunSpec(spec, workload);
+    bench::ExitIfFailed(spec, result.status());
     const auto& r = result.value();
     table.AddRow({eval::Table::Fmt(slack, 2),
                   eval::Table::FmtMs(r.avg_query_ms),
@@ -119,10 +104,10 @@ void RunW0Sweep(const eval::Workload& workload) {
   const double c = 1.5;
   for (const double gamma : {0.5, 1.0, 2.0, 3.0, 4.0}) {
     const double w0 = 2.0 * gamma * c * c;
-    auto result = eval::RunSpec("DB-LSH,c=" + eval::Table::Fmt(c, 2) +
-                                    ",w0=" + eval::Table::Fmt(w0, 3),
-                                workload);
-    if (!result.ok()) continue;
+    const std::string spec = "DB-LSH,c=" + eval::Table::Fmt(c, 2) +
+                             ",w0=" + eval::Table::Fmt(w0, 3);
+    auto result = eval::RunSpec(spec, workload);
+    bench::ExitIfFailed(spec, result.status());
     const auto& r = result.value();
     table.AddRow({eval::Table::Fmt(gamma, 1),
                   eval::Table::Fmt(w0, 2),
@@ -159,7 +144,6 @@ int main(int argc, char** argv) {
   if (exp == "all" || exp == "bulkload") dblsh::RunBulkLoad(workload);
   if (exp == "all" || exp == "t_sweep") dblsh::RunTSweep(workload);
   if (exp == "all" || exp == "w0_sweep") dblsh::RunW0Sweep(workload);
-  if (exp == "all" || exp == "backend") dblsh::RunBackend(workload);
   if (exp == "all" || exp == "early_stop") dblsh::RunEarlyStop(workload);
   return 0;
 }

@@ -45,7 +45,7 @@ void RunDataset(const std::string& name, double scale, size_t queries,
     const auto methods = eval::MakePaperMethods(n);
     for (size_t m = 0; m < methods.size(); ++m) {
       auto result = eval::RunMethod(methods[m].get(), w);
-      if (!result.ok()) continue;
+      bench::ExitIfFailed(methods[m]->Name(), result.status());
       const auto& r = result.value();
       if (time_rows[m].empty()) {
         time_rows[m].push_back(r.method);

@@ -30,7 +30,7 @@ void RunDataset(const std::string& name, double scale, size_t queries,
     std::vector<std::string> recall_row = {method->Name()};
     std::vector<std::string> ratio_row = {method->Name()};
     // Build once; sweep k at query time (all methods take k per query).
-    if (!method->Build(&base.data).ok()) continue;
+    bench::ExitIfFailed(method->Name(), method->Build(&base.data));
     for (size_t k : ks) {
       double recall = 0.0, ratio = 0.0;
       for (size_t q = 0; q < base.queries.rows(); ++q) {

@@ -60,7 +60,7 @@ void RunDataset(const std::string& name, double scale, size_t queries,
         std::string("LSB-Forest"), std::string("QALSH")}) {
     for (const auto& point : MakeCurve(method, workload.data.rows())) {
       auto result = eval::RunSpec(point.spec, workload);
-      if (!result.ok()) continue;
+      bench::ExitIfFailed(point.spec, result.status());
       const auto& r = result.value();
       table.AddRow({method, point.knob, eval::Table::FmtMs(r.avg_query_ms),
                     eval::Table::Fmt(r.recall, 4),

@@ -26,17 +26,16 @@ void Run(size_t n, double c, size_t t) {
               rho_star, alpha, std::pow(c, -alpha), rho_static, 1.0 / c);
 
   const auto derived = lsh::DeriveParams(n, c, w0, t);
+  bench::ExitIfFailed("DB-LSH", derived.status());
   const double nd = static_cast<double>(n);
 
   eval::Table table({"Algorithm", "Indexing", "Query", "K", "L",
                      "IndexSize (entries)", "QueryCost (candidates)"});
-  if (derived.ok()) {
-    const auto& p = derived.value();
-    table.AddRow({"DB-LSH", "Dynamic", "Query-centric", std::to_string(p.k),
-                  std::to_string(p.l),
-                  std::to_string(static_cast<size_t>(nd) * p.k * p.l),
-                  std::to_string(2 * t * p.l + 1)});
-  }
+  const auto& p = derived.value();
+  table.AddRow({"DB-LSH", "Dynamic", "Query-centric", std::to_string(p.k),
+                std::to_string(p.l),
+                std::to_string(static_cast<size_t>(nd) * p.k * p.l),
+                std::to_string(2 * t * p.l + 1)});
   // E2LSH / LSB-Forest: static (K,L)-index at rho_static; K from p2 of the
   // static family, L = n^rho.
   {

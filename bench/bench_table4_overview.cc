@@ -2,11 +2,11 @@
 // recall, and indexing time for the full method lineup on stand-ins for the
 // paper's datasets ((c,k)-ANN, k = 50, c = 1.5, 100 held-out queries).
 //
-// Default settings are laptop-scale (see DESIGN.md substitutions); pass
-// --scale=1.0 --queries=100 --datasets=all for the full sweep. Absolute
-// times differ from the paper's testbed; the shape to check is: DB-LSH has
-// the smallest indexing time, the best query time at equal-or-better
-// recall, and beats FB-LSH on all three query metrics.
+// Default settings are laptop-scale (docs/ARCHITECTURE.md,
+// "Substitutions"); pass --scale=1.0 --queries=100 --datasets=all for the
+// full sweep. Absolute times differ from the paper's testbed; the shape to
+// check is: DB-LSH has the smallest indexing time, the best query time at
+// equal-or-better recall, and beats FB-LSH on all three query metrics.
 #include <cstdio>
 #include <memory>
 
@@ -33,11 +33,7 @@ void Run(const std::vector<std::string>& datasets, double scale,
     for (const auto& method : eval::MakePaperMethods(workload.data.rows(),
                                                      c)) {
       auto result = eval::RunMethod(method.get(), workload);
-      if (!result.ok()) {
-        std::printf("  %s failed: %s\n", method->Name().c_str(),
-                    result.status().ToString().c_str());
-        continue;
-      }
+      bench::ExitIfFailed(method->Name(), result.status());
       const auto& r = result.value();
       table.AddRow({r.method, eval::Table::FmtMs(r.avg_query_ms),
                     eval::Table::Fmt(r.overall_ratio, 4),

@@ -54,4 +54,12 @@ void PrintBanner(const std::string& experiment, const std::string& claim) {
   std::printf("Paper reference: %s\n\n", claim.c_str());
 }
 
+void ExitIfFailed(const std::string& method, const Status& status) {
+  if (status.ok()) return;
+  std::fflush(stdout);
+  std::fprintf(stderr, "%s failed: %s\n", method.c_str(),
+               status.ToString().c_str());
+  std::exit(1);
+}
+
 }  // namespace dblsh::bench

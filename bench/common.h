@@ -7,6 +7,7 @@
 
 #include "dataset/synthetic.h"
 #include "eval/runner.h"
+#include "util/status.h"
 
 namespace dblsh::bench {
 
@@ -34,6 +35,11 @@ eval::Workload ProfileWorkload(const std::string& name, double scale,
 /// Prints the standard bench banner (what the binary reproduces and the
 /// paper-reported reference shape).
 void PrintBanner(const std::string& experiment, const std::string& claim);
+
+/// Unless `status` is OK, prints `method` and `status` to stderr and exits
+/// with status 1, so a failed build or run (a stale spec key, say) fails
+/// the bench instead of leaving a short table behind an exit code of 0.
+void ExitIfFailed(const std::string& method, const Status& status);
 
 }  // namespace dblsh::bench
 

@@ -3,11 +3,14 @@
 
 1. Intra-repo markdown link check: every relative link target in a *.md
    file must exist (http/mailto/pure-anchor links are skipped).
-2. Doc-comment coverage over the public headers: every public function
+2. Code-to-doc references: every *.md file a `//` comment in src/, bench/,
+   examples/ or tests/ names must exist, relative to the repo root or to
+   the commented file's directory.
+3. Doc-comment coverage over the public headers: every public function
    declaration in src/{core,exec,serve,simd,replication,rtree,kdtree,
    bptree}/*.h must be preceded by a `///` contract comment.
 
-Exit code 0 when both gates pass; 1 with a listing of violations.
+Exit code 0 when every gate passes; 1 with a listing of violations.
 """
 
 import os
@@ -42,6 +45,35 @@ def check_markdown_links():
                 if not os.path.exists(resolved):
                     rel = os.path.relpath(path, REPO)
                     errors.append(f"{rel}: broken link -> {target}")
+    return errors
+
+
+# ------------------------------------------------- code-to-doc references --
+
+CODE_DIRS = ("src", "bench", "examples", "tests")
+CODE_SUFFIXES = (".h", ".cc", ".cpp")
+MD_NAME = re.compile(r"[\w./-]*\w\.md\b")
+
+
+def check_code_doc_references():
+    errors = []
+    for top in CODE_DIRS:
+        for root, dirs, files in os.walk(os.path.join(REPO, top)):
+            dirs.sort()
+            for name in sorted(files):
+                if not name.endswith(CODE_SUFFIXES):
+                    continue
+                path = os.path.join(root, name)
+                with open(path, encoding="utf-8") as f:
+                    lines = f.read().splitlines()
+                for lineno, line in enumerate(lines, 1):
+                    comment = line.partition("//")[2]
+                    for doc in MD_NAME.findall(comment):
+                        if not any(os.path.exists(os.path.join(base, doc))
+                                   for base in (REPO, root)):
+                            rel = os.path.relpath(path, REPO)
+                            errors.append(f"{rel}:{lineno}: comment names "
+                                          f"{doc}, which does not exist")
     return errors
 
 
@@ -152,13 +184,15 @@ def check_doc_coverage():
 
 
 def main():
-    errors = check_markdown_links() + check_doc_coverage()
+    errors = (check_markdown_links() + check_code_doc_references()
+              + check_doc_coverage())
     if errors:
         print(f"docs check FAILED ({len(errors)} problem(s)):")
         for e in errors:
             print("  " + e)
         return 1
-    print("docs check passed: markdown links resolve, the headers of "
+    print("docs check passed: markdown links and the code's doc "
+          "references resolve, the headers of "
           + "/".join(d.split("/")[1] for d in HEADER_GLOBS)
           + " are documented")
     return 0

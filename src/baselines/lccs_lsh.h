@@ -32,12 +32,13 @@ struct LccsLshParams {
 /// Every point receives a code of m/4 E2LSH symbols (bucket ids of
 /// floor((a.o + b)/w) taken mod 16, packed 4 bits each into one 64-bit
 /// word; the circular co-substring machinery is agnostic to the symbol
-/// source — see DESIGN.md). The index is a Circular Shift Array: one sorted
-/// order of the dataset per symbol rotation. A query binary-searches each
-/// order and scans outward; entries adjacent to the query in order s share
-/// a long common substring of the code starting at symbol s, so the union
-/// over shifts enumerates points by decreasing longest circular
-/// co-substring length, which is the paper's candidate ranking.
+/// source — see docs/ARCHITECTURE.md, "Substitutions"). The index is a
+/// Circular Shift Array: one sorted order of the dataset per symbol
+/// rotation. A query binary-searches each order and scans outward; entries
+/// adjacent to the query in order s share a long common substring of the
+/// code starting at symbol s, so the union over shifts enumerates points by
+/// decreasing longest circular co-substring length, which is the paper's
+/// candidate ranking.
 class LccsLsh : public AnnIndex {
  public:
   explicit LccsLsh(LccsLshParams params = LccsLshParams());

@@ -39,6 +39,7 @@ Status LinearScan::Erase(uint32_t id) {
 
 std::vector<Neighbor> LinearScan::Query(const float* query, size_t k,
                                         QueryStats* stats) const {
+  if (data_ == nullptr) return {};
   TopKHeap heap(k);
   // Contiguous scan over all rows through the batched SIMD kernel;
   // candidates_verified is counted per push by the helper.

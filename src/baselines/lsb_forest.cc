@@ -3,7 +3,6 @@
 #include "core/index_factory.h"
 #include <algorithm>
 #include <bit>
-#include <cassert>
 #include <cmath>
 #include <queue>
 
@@ -84,8 +83,7 @@ Status LsbForest::Build(const FloatMatrix* data) {
 
 std::vector<Neighbor> LsbForest::Query(const float* query, size_t k,
                                        QueryStats* stats) const {
-  assert(data_ != nullptr && "Build() must succeed before Query()");
-  if (k == 0) return {};
+  if (k == 0 || data_ == nullptr) return {};
   const size_t n = data_->rows();
   QueryMarks marks = QueryMarks::Begin(n);
 

@@ -2,7 +2,6 @@
 
 #include "core/index_factory.h"
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <queue>
 
@@ -79,8 +78,7 @@ Status MultiProbeLsh::Build(const FloatMatrix* data) {
 
 std::vector<Neighbor> MultiProbeLsh::Query(const float* query, size_t k,
                                            QueryStats* stats) const {
-  assert(data_ != nullptr && "Build() must succeed before Query()");
-  if (k == 0) return {};
+  if (k == 0 || data_ == nullptr) return {};
   const size_t n = data_->rows();
   QueryMarks marks = QueryMarks::Begin(n);
 

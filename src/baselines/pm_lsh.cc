@@ -2,7 +2,6 @@
 
 #include "core/index_factory.h"
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 
 #include "core/verify.h"
@@ -32,8 +31,7 @@ Status PmLsh::Build(const FloatMatrix* data) {
 
 std::vector<Neighbor> PmLsh::Query(const float* query, size_t k,
                                    QueryStats* stats) const {
-  assert(data_ != nullptr && "Build() must succeed before Query()");
-  if (k == 0) return {};
+  if (k == 0 || data_ == nullptr) return {};
   const size_t n = data_->rows();
 
   std::vector<float> proj_q(params_.m);

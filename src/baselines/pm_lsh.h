@@ -28,7 +28,8 @@ struct PmLshParams {
 /// PM-LSH: the representative dynamic metric-query (MQ) method. Indexing:
 /// project to an m-dimensional space with 2-stable projections and index
 /// the projected points with an exact low-dimensional NN structure (paper:
-/// PM-tree; here: kd-tree with best-first incremental NN — see DESIGN.md).
+/// PM-tree; here: kd-tree with best-first incremental NN — see
+/// docs/ARCHITECTURE.md, "Substitutions").
 /// Query: enumerate projected-space neighbors in ascending distance and
 /// verify them in the original space, stopping after beta*n + k
 /// verifications or once the projected radius certifies the current top-k.

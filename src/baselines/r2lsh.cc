@@ -2,7 +2,6 @@
 
 #include "core/index_factory.h"
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <queue>
 
@@ -96,8 +95,7 @@ Status R2Lsh::Erase(uint32_t id) {
 
 std::vector<Neighbor> R2Lsh::Query(const float* query, size_t k,
                                    QueryStats* stats) const {
-  assert(data_ != nullptr && "Build() must succeed before Query()");
-  if (k == 0) return {};
+  if (k == 0 || data_ == nullptr) return {};
   const size_t n = data_->rows();
   QueryMarks marks = QueryMarks::Begin(n, /*count_collisions=*/true);
 

@@ -2,7 +2,6 @@
 
 #include "core/index_factory.h"
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 
 #include "core/verify.h"
@@ -89,8 +88,7 @@ Status Srs::Erase(uint32_t id) {
 
 std::vector<Neighbor> Srs::Query(const float* query, size_t k,
                                  QueryStats* stats) const {
-  assert(data_ != nullptr && "Build() must succeed before Query()");
-  if (k == 0) return {};
+  if (k == 0 || data_ == nullptr) return {};
   const size_t n = data_->rows();
 
   std::vector<float> proj_q(params_.m);

@@ -47,8 +47,9 @@ class AnnIndex {
   virtual Status Build(const FloatMatrix* data) = 0;
 
   /// Returns (up to) the k approximate nearest neighbors of `query`,
-  /// ascending by distance. `stats`, if non-null, receives per-query
-  /// instrumentation. Implementation hook — prefer Search().
+  /// ascending by distance; none before a successful Build(). `stats`, if
+  /// non-null, receives per-query instrumentation. Implementation hook —
+  /// prefer Search().
   virtual std::vector<Neighbor> Query(const float* query, size_t k,
                                       QueryStats* stats = nullptr) const = 0;
 

@@ -1,10 +1,8 @@
 #include "core/db_lsh.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <memory>
-#include <numeric>
 
 #include "core/index_factory.h"
 #include "dataset/ground_truth.h"
@@ -23,6 +21,13 @@ std::string DbLsh::Name() const {
 Status DbLsh::Build(const FloatMatrix* data) {
   if (data == nullptr || data->rows() == 0) {
     return Status::InvalidArgument("DbLsh::Build requires a non-empty dataset");
+  }
+  // The range checks below cannot see a non-finite real (NaN fails every
+  // comparison, infinity passes them), and Load refuses the file it saves.
+  if (!std::isfinite(params_.c) || !std::isfinite(params_.w0) ||
+      !std::isfinite(params_.r0) || !std::isfinite(params_.early_stop_slack)) {
+    return Status::InvalidArgument(
+        "c, w0, r0 and early_stop_slack must be finite");
   }
   if (params_.c <= 1.0) {
     return Status::InvalidArgument("approximation ratio c must exceed 1");
@@ -78,42 +83,18 @@ Status DbLsh::Build(const FloatMatrix* data) {
   }
 
   indexed_rows_ = n;
-  projected_.clear();
-  trees_.clear();
-  kd_trees_.clear();
-  if (params_.backend == IndexBackend::kRStarTree) {
-    // Building over a mutated dataset (e.g. the streaming bench's rebuild
-    // baseline) indexes live rows only; tombstoned slots stay out of the
-    // trees so they can be recycled by InsertRow + Insert later.
-    std::vector<uint32_t> live;
-    if (data->has_tombstones()) {
-      live.reserve(data->live_rows());
-      for (uint32_t id = 0; id < n; ++id) {
-        if (!data->IsDeleted(id)) live.push_back(id);
-      }
-    }
+  if (params_.bulk_load) {
+    DBLSH_RETURN_IF_ERROR(BulkLoadTrees(std::move(spaces)));
+  } else {
+    trees_.clear();
     trees_.reserve(params_.l);
     for (size_t i = 0; i < params_.l; ++i) {
-      rtree::RStarTree& tree = trees_.emplace_back(k, params_.rtree_options);
-      if (params_.bulk_load) {
-        if (data->has_tombstones()) {
-          DBLSH_RETURN_IF_ERROR(tree.BulkLoad(spaces[i], live));
-        } else {
-          DBLSH_RETURN_IF_ERROR(tree.BulkLoadAll(spaces[i]));
-        }
-      } else {
-        for (uint32_t id = 0; id < n; ++id) {
-          if (data->IsDeleted(id)) continue;
-          DBLSH_RETURN_IF_ERROR(tree.Insert(id, spaces[i].row(id)));
-        }
+      rtree::RStarTree& tree = trees_.emplace_back(k);
+      for (uint32_t id = 0; id < n; ++id) {
+        if (data->IsDeleted(id)) continue;
+        DBLSH_RETURN_IF_ERROR(tree.Insert(id, spaces[i].row(id)));
       }
       spaces[i] = FloatMatrix();  // the tree holds its own copy
-    }
-  } else {
-    projected_ = std::move(spaces);
-    kd_trees_.reserve(params_.l);
-    for (size_t i = 0; i < params_.l; ++i) {
-      kd_trees_.push_back(std::make_unique<kdtree::KdTree>(&projected_[i]));
     }
   }
 
@@ -127,6 +108,24 @@ Status DbLsh::Build(const FloatMatrix* data) {
     }
   }
 
+  return Status::OK();
+}
+
+Status DbLsh::BulkLoadTrees(std::vector<FloatMatrix> spaces) {
+  // Tombstoned slots stay out of the trees, so they can be recycled by
+  // InsertRow + Insert later.
+  std::vector<uint32_t> live;
+  live.reserve(data_->live_rows());
+  for (uint32_t id = 0; id < data_->rows(); ++id) {
+    if (!data_->IsDeleted(id)) live.push_back(id);
+  }
+  trees_.clear();
+  trees_.reserve(spaces.size());
+  for (FloatMatrix& space : spaces) {
+    DBLSH_RETURN_IF_ERROR(
+        trees_.emplace_back(params_.k).BulkLoad(space, live));
+    space = FloatMatrix();  // the tree holds its own copy
+  }
   return Status::OK();
 }
 
@@ -164,30 +163,17 @@ bool DbLsh::RunRound(const float* proj, double r,
   // the terminating candidate (and thus the heap) unchanged.
   verifier->set_dist_bound(params_.early_stop_slack * c * r);
 
-  // Per-candidate dedup shared by both index backends; unseen ids are fed
-  // to the batch verifier. Returns true when Algorithm 1 may terminate.
-  auto process = [&](uint32_t id) -> bool {
-    if (stats != nullptr) ++stats->points_accessed;
-    if (!marks.Visit(id)) return false;
-    return verifier->Offer(id);
-  };
-
   for (size_t i = 0; i < params_.l; ++i) {
     const float* center = proj + i * params_.k;
-    const rtree::Rect bucket = MakeBucket(center, i, width);
     if (stats != nullptr) ++stats->window_queries;
+    // Per-candidate dedup; unseen ids are fed to the batch verifier, which
+    // reports when Algorithm 1 may terminate.
+    rtree::RStarTree::WindowCursor cursor(&trees_[i],
+                                          MakeBucket(center, i, width));
     uint32_t id = 0;
-    if (params_.backend == IndexBackend::kRStarTree) {
-      rtree::RStarTree::WindowCursor cursor(&trees_[i], bucket);
-      while (cursor.Next(&id)) {
-        if (process(id)) return true;
-      }
-    } else {
-      kdtree::KdTree::WindowCursor cursor(kd_trees_[i].get(),
-                                          bucket.lo_data(), bucket.hi_data());
-      while (cursor.Next(&id)) {
-        if (process(id)) return true;
-      }
+    while (cursor.Next(&id)) {
+      if (stats != nullptr) ++stats->points_accessed;
+      if (marks.Visit(id) && verifier->Offer(id)) return true;
     }
     if (verifier->Flush()) return true;  // window boundary: settle exits
   }
@@ -218,7 +204,6 @@ QueryResponse DbLsh::Search(const float* query,
 
 std::vector<Neighbor> DbLsh::QueryImpl(const float* query, size_t k, size_t t,
                                        double r0, QueryStats* stats) const {
-  assert(data_ != nullptr && "Build() must succeed before Query()");
   if (k == 0 || data_ == nullptr) return {};
 
   const QueryMarks marks = QueryMarks::Begin(data_->rows());
@@ -242,7 +227,7 @@ std::vector<Neighbor> DbLsh::QueryImpl(const float* query, size_t k, size_t t,
 
 std::optional<Neighbor> DbLsh::RcNnQuery(const float* query, double r,
                                          QueryStats* stats) const {
-  assert(data_ != nullptr && "Build() must succeed before Query()");
+  if (data_ == nullptr) return std::nullopt;
   const QueryMarks marks = QueryMarks::Begin(data_->rows());
   std::vector<float> proj(params_.l * params_.k);
   bank_->ProjectAll(query, proj.data());
@@ -264,18 +249,9 @@ std::optional<Neighbor> DbLsh::RcNnQuery(const float* query, double r,
   return std::nullopt;
 }
 
-bool DbLsh::SupportsUpdates() const {
-  return params_.backend == IndexBackend::kRStarTree;
-}
-
 Status DbLsh::Insert(uint32_t id) {
   if (data_ == nullptr) {
     return Status::InvalidArgument("Insert() requires a built index");
-  }
-  if (params_.backend != IndexBackend::kRStarTree) {
-    return Status::Unimplemented(
-        "the kd-tree backend is bulk-built and static; rebuild, or use "
-        "backend=rtree for dynamic updates");
   }
   if (id >= data_->rows() || data_->IsDeleted(id)) {
     return Status::InvalidArgument(
@@ -310,11 +286,6 @@ Status DbLsh::Erase(uint32_t id) {
   if (data_ == nullptr) {
     return Status::InvalidArgument("Erase() requires a built index");
   }
-  if (params_.backend != IndexBackend::kRStarTree) {
-    return Status::Unimplemented(
-        "the kd-tree backend is bulk-built and static; tombstone the row "
-        "with FloatMatrix::EraseRow and rebuild before recycling the slot");
-  }
   for (size_t i = 0; i < params_.l; ++i) {
     DBLSH_RETURN_IF_ERROR(trees_[i].Remove(id));
   }
@@ -324,7 +295,6 @@ Status DbLsh::Erase(uint32_t id) {
 size_t DbLsh::IndexEntries() const {
   size_t total = 0;
   for (const auto& tree : trees_) total += tree.size();
-  for (const auto& tree : kd_trees_) total += tree->size();
   return total;
 }
 
@@ -341,9 +311,7 @@ Result<DbLshParams> DbLshParamsFromSpec(const IndexFactory::Spec& spec,
   reader.Key("seed", &base.seed);
   reader.Key("bulk_load", &base.bulk_load);
   std::string bucketing;
-  std::string backend;
   reader.Key("bucketing", &bucketing);
-  reader.Key("backend", &backend);
   DBLSH_RETURN_IF_ERROR(reader.Finish());
   if (!bucketing.empty()) {
     if (bucketing == "dynamic") {
@@ -354,16 +322,6 @@ Result<DbLshParams> DbLshParamsFromSpec(const IndexFactory::Spec& spec,
       return Status::InvalidArgument(
           "bucketing must be \"dynamic\" or \"fixed\", got \"" + bucketing +
           "\"");
-    }
-  }
-  if (!backend.empty()) {
-    if (backend == "rtree") {
-      base.backend = IndexBackend::kRStarTree;
-    } else if (backend == "kdtree") {
-      base.backend = IndexBackend::kKdTree;
-    } else {
-      return Status::InvalidArgument(
-          "backend must be \"rtree\" or \"kdtree\", got \"" + backend + "\"");
     }
   }
   return base;

@@ -12,7 +12,6 @@
 #include "core/verify.h"
 #include "dataset/float_matrix.h"
 #include "dataset/vector_store.h"
-#include "kdtree/kd_tree.h"
 #include "lsh/projection.h"
 #include "rtree/rtree.h"
 #include "util/status.h"
@@ -26,16 +25,6 @@ namespace dblsh {
 enum class BucketingMode {
   kDynamicQueryCentric,
   kFixedGrid,
-};
-
-/// Which multi-dimensional index answers the window queries. The paper uses
-/// the R*-tree but notes that "the only requirement of the index is that it
-/// can efficiently answer a window query in the low-dimensional space"
-/// (Sec. IV-B); the kd-tree backend demonstrates that pluggability and
-/// feeds the backend ablation bench.
-enum class IndexBackend {
-  kRStarTree,
-  kKdTree,
 };
 
 /// Construction parameters. Defaults mirror the paper's experimental
@@ -61,19 +50,17 @@ struct DbLshParams {
   double early_stop_slack = 1.0;
   uint64_t seed = 42;
   BucketingMode bucketing = BucketingMode::kDynamicQueryCentric;
-  IndexBackend backend = IndexBackend::kRStarTree;
   /// Bulk-load the R*-trees (paper default). Set false for the
   /// insertion-based construction ablation.
   bool bulk_load = true;
-  rtree::RTreeOptions rtree_options;
 };
 
 /// DB-LSH: the paper's contribution. Indexing phase: project the dataset
 /// into L K-dimensional spaces with independent 2-stable projections and
-/// index each with an R*-tree. Query phase: answer a c-ANN query as a
-/// cascade of (r,c)-NN queries with r = r0, c*r0, c^2*r0, ..., where each
-/// round issues L window queries with query-centric hypercubic buckets of
-/// width w0*r (Algorithms 1 and 2).
+/// index each with an R*-tree (default rtree::RTreeOptions). Query phase:
+/// answer a c-ANN query as a cascade of (r,c)-NN queries with r = r0,
+/// c*r0, c^2*r0, ..., where each round issues L window queries with
+/// query-centric hypercubic buckets of width w0*r (Algorithms 1 and 2).
 class DbLsh : public AnnIndex {
  public:
   /// Stores `params`; auto-derived fields (w0, k, t, r0) are resolved by
@@ -83,8 +70,9 @@ class DbLsh : public AnnIndex {
   /// "DB-LSH", or "FB-LSH" under the fixed-grid ablation bucketing.
   std::string Name() const override;
   /// Derives auto parameters (w0, K, t, r0), projects the dataset into the
-  /// L spaces and builds one index per space. Live rows only when `data`
-  /// carries tombstones. `data` must outlive the index.
+  /// L spaces and builds one R*-tree per space. Live rows only when `data`
+  /// carries tombstones. `data` must outlive the index. A c <= 1, l = 0,
+  /// slack < 1 or a non-finite c, w0, r0 or slack is InvalidArgument.
   Status Build(const FloatMatrix* data) override;
   /// c-ANN query via the (r,c)-NN cascade. The visited stamps are the
   /// calling thread's QueryMarks, so concurrent calls are safe.
@@ -99,9 +87,8 @@ class DbLsh : public AnnIndex {
   size_t NumHashFunctions() const override { return params_.k * params_.l; }
 
   /// Dynamic updates — the structural payoff of "hash tables are just
-  /// R*-trees": true for the R*-tree backend (incremental R* insertion and
-  /// deletion-with-reinsertion), false for the static kd-tree backend.
-  bool SupportsUpdates() const override;
+  /// R*-trees": incremental R* insertion and deletion-with-reinsertion.
+  bool SupportsUpdates() const override { return true; }
   /// Projects row `id` into the L spaces and R*-inserts it into each tree.
   /// See AnnIndex::Insert for the dataset-first update protocol. An id
   /// that is already indexed is rejected with InvalidArgument before any
@@ -114,7 +101,7 @@ class DbLsh : public AnnIndex {
   /// One (r,c)-NN round (Algorithm 1), exposed for tests and for the
   /// theoretical-guarantee property tests: returns a point within c*r of
   /// `query` if one is found under the 2tL+1 candidate budget, otherwise
-  /// nothing.
+  /// nothing (also on an unbuilt index).
   std::optional<Neighbor> RcNnQuery(const float* query, double r,
                                     QueryStats* stats = nullptr) const;
 
@@ -129,11 +116,11 @@ class DbLsh : public AnnIndex {
   /// 4. The backing dataset itself is NOT stored — pass the same data to
   /// Load(); a checksum over its raw bytes is stored so a mismatched
   /// dataset is rejected rather than silently served. Each projected space
-  /// is written as a row-per-id matrix: the R*-tree backend exports it from
-  /// its trees (RStarTree::Point), writing zeros for ids not in the index,
-  /// which Load never reads; the kd-tree backend writes its matrices. Trees
-  /// are rebuilt by bulk loading on load, which is fast and keeps the file
-  /// format simple and portable. Appended rows round-trip naturally.
+  /// is written as a row-per-id matrix exported from its tree
+  /// (RStarTree::Point), with zeros for ids not in the index, which Load
+  /// never reads. Trees are rebuilt by bulk loading on load, which is fast
+  /// and keeps the file format simple and portable. Appended rows
+  /// round-trip naturally.
   ///
   /// Storage backends: when the dataset is managed by a VectorStore
   /// (FloatMatrix::store()), the file records the backend tag and the
@@ -183,6 +170,12 @@ class DbLsh : public AnnIndex {
                                      uint64_t dim, FloatMatrix* data,
                                      VectorStore* store);
 
+  /// Replaces trees_ with one STR bulk-loaded R*-tree per projected space
+  /// (`spaces[i]` is row-per-id, K wide) over the live rows of data_, in id
+  /// order; frees each space once its tree holds the points. The one tree
+  /// loader of Build (bulk_load) and LoadIndexBody.
+  Status BulkLoadTrees(std::vector<FloatMatrix> spaces);
+
   /// Runs one round of L window queries at radius r around the query's
   /// projection `proj` (L*K floats, ProjectAll's layout), feeding the ids
   /// `marks` has not seen into `verifier` (which owns the heap, budget and
@@ -202,12 +195,7 @@ class DbLsh : public AnnIndex {
 
   DbLshParams params_;
   std::unique_ptr<lsh::ProjectionBank> bank_;  // l*k functions
-  /// The kKdTree backend's l projected spaces (n x k each), which the
-  /// kd-trees read in place. Empty for the kRStarTree backend, whose trees
-  /// own their points.
-  std::vector<FloatMatrix> projected_;
-  std::vector<rtree::RStarTree> trees_;        // kRStarTree backend
-  std::vector<std::unique_ptr<kdtree::KdTree>> kd_trees_;  // kKdTree backend
+  std::vector<rtree::RStarTree> trees_;        // one per projected space
   /// Random per-function grid offsets (the `b` of Eq. 1), used only by the
   /// FB-LSH fixed-grid mode so cell boundaries are unbiased.
   std::vector<float> grid_offsets_;
@@ -219,8 +207,8 @@ class DbLsh : public AnnIndex {
 };
 
 /// Applies spec keys (c, w0, k, l, t, r0, early_stop_slack, seed,
-/// bulk_load, bucketing=dynamic|fixed, backend=rtree|kdtree) on top of
-/// `base`. Shared by the DB-LSH and FB-LSH factory registrations.
+/// bulk_load, bucketing=dynamic|fixed) on top of `base`. Shared by the
+/// DB-LSH and FB-LSH factory registrations.
 Result<DbLshParams> DbLshParamsFromSpec(const IndexFactory::Spec& spec,
                                         DbLshParams base);
 

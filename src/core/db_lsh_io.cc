@@ -12,6 +12,10 @@
 //   the projection of id — exported from the R*-trees, with zeros for ids
 //   not in the index)
 //   tombstones: u64 count | u32 ids in erasure order (the free-list stack)
+// The backend byte is 0 in every file Save writes. A 1 was written by a
+// retired kd-tree backend that stored its projected spaces in the same
+// row-per-id layout; it loads as R*-trees like a 0. Larger values are
+// Corruption.
 // Version 3 files are identical minus the pq storage variant; version 2
 // files additionally lack the storage tag (implicitly fp32). Both still
 // load. Loading reads the whole file and parses it with util::PodReader,
@@ -187,7 +191,7 @@ Status DbLsh::Save(const std::string& path) const {
   util::AppendPod<uint64_t>(&out, params_.t);
   util::AppendPod<uint64_t>(&out, params_.seed);
   util::AppendPod<uint8_t>(&out, static_cast<uint8_t>(params_.bucketing));
-  util::AppendPod<uint8_t>(&out, static_cast<uint8_t>(params_.backend));
+  util::AppendPod<uint8_t>(&out, 0);  // backend byte: R*-trees
   util::AppendPod<double>(&out, auto_r0_);
   util::AppendPod<double>(&out, params_.early_stop_slack);
   WriteMatrix(&out, bank_->directions());
@@ -196,7 +200,6 @@ Status DbLsh::Save(const std::string& path) const {
   for (const rtree::RStarTree& tree : trees_) {
     WriteTreePoints(&out, tree, indexed_rows_);
   }
-  for (const FloatMatrix& space : projected_) WriteMatrix(&out, space);
   util::AppendPod<uint64_t>(&out, data_->free_slots().size());
   util::AppendBytes(&out, util::BytesOf(data_->free_slots()));
 
@@ -222,12 +225,12 @@ Result<DbLsh> DbLsh::LoadIndexBody(util::PodReader* in,
       !in->Read(&params.early_stop_slack)) {
     return Status::Corruption(path + ": truncated parameters");
   }
-  // Only what Build() can produce loads: known enum bytes, the ranges it
-  // enforces (c > 1, slack >= 1) or derives (w0, k, t, auto_r0 > 0), and
-  // finite reals.
+  // Only what Build() can produce loads: known enum bytes (backend 0, or
+  // the retired kd-tree backend's 1), the ranges it enforces (c > 1,
+  // slack >= 1) or derives (w0, k, t, auto_r0 > 0), and finite reals.
   if (bucketing > static_cast<uint8_t>(BucketingMode::kFixedGrid) ||
-      backend > static_cast<uint8_t>(IndexBackend::kKdTree) || l == 0 ||
-      k == 0 || t == 0 || !std::isfinite(params.c) || params.c <= 1.0 ||
+      backend > 1 || l == 0 || k == 0 || t == 0 ||
+      !std::isfinite(params.c) || params.c <= 1.0 ||
       !std::isfinite(params.w0) || params.w0 <= 0.0 ||
       !std::isfinite(auto_r0) || auto_r0 <= 0.0 ||
       !std::isfinite(params.early_stop_slack) ||
@@ -239,7 +242,6 @@ Result<DbLsh> DbLsh::LoadIndexBody(util::PodReader* in,
   params.t = t;
   params.seed = seed;
   params.bucketing = static_cast<BucketingMode>(bucketing);
-  params.backend = static_cast<IndexBackend>(backend);
 
   auto directions = ReadMatrix(in, "projection directions");
   if (!directions.ok()) return directions.status();
@@ -290,29 +292,7 @@ Result<DbLsh> DbLsh::LoadIndexBody(util::PodReader* in,
                                              : data->EraseRow(id));
     }
   }
-  if (params.backend == IndexBackend::kRStarTree) {
-    // Bulk load live rows only: tombstoned slots stay out of the trees, so
-    // post-load Erase/InsertRow slot recycling behaves as before the save.
-    std::vector<uint32_t> live;
-    live.reserve(data->live_rows());
-    for (uint32_t id = 0; id < n; ++id) {
-      if (!data->IsDeleted(id)) live.push_back(id);
-    }
-    index.trees_.reserve(params.l);
-    for (size_t i = 0; i < params.l; ++i) {
-      DBLSH_RETURN_IF_ERROR(
-          index.trees_.emplace_back(params.k, params.rtree_options)
-              .BulkLoad(spaces[i], live));
-      spaces[i] = FloatMatrix();  // the tree holds its own copy
-    }
-  } else {
-    index.projected_ = std::move(spaces);
-    index.kd_trees_.reserve(params.l);
-    for (size_t i = 0; i < params.l; ++i) {
-      index.kd_trees_.push_back(
-          std::make_unique<kdtree::KdTree>(&index.projected_[i]));
-    }
-  }
+  DBLSH_RETURN_IF_ERROR(index.BulkLoadTrees(std::move(spaces)));
   return index;
 }
 

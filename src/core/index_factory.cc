@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
 #include <utility>
 
@@ -156,8 +157,8 @@ void SpecReader::Key(const std::string& key, double* out) {
   if (raw == nullptr) return;
   char* end = nullptr;
   const double value = std::strtod(raw->c_str(), &end);
-  if (end == raw->c_str() || *end != '\0') {
-    RecordError(key, "a number");
+  if (end == raw->c_str() || *end != '\0' || !std::isfinite(value)) {
+    RecordError(key, "a finite number");
     return;
   }
   *out = value;

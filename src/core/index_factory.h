@@ -25,7 +25,8 @@ namespace dblsh {
 ///   name  := registered method name, matched case-insensitively and
 ///            ignoring '-' / '_' ("db-lsh" == "DB-LSH" == "DBLSH")
 ///   key   := parameter name of the method's params struct (lower-case)
-///   value := double | unsigned integer | bool (0/1/true/false) | token
+///   value := finite double | unsigned integer | bool (0/1/true/false)
+///            | token
 ///
 /// Unknown methods, unknown keys, duplicate keys, and unparsable values all
 /// return InvalidArgument instead of silently building a misconfigured
@@ -96,7 +97,8 @@ class SpecReader {
 
   /// Each Key() overload writes the spec's value for `key` into `out` when
   /// present (leaving the default otherwise) and marks the key consumed;
-  /// parse failures are deferred and reported by Finish().
+  /// parse failures are deferred and reported by Finish(). Doubles must be
+  /// finite: nan, inf and out-of-range values are parse failures.
   void Key(const std::string& key, double* out);
   /// Boolean keys accept 0/1/true/false.
   void Key(const std::string& key, bool* out);

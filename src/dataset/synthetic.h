@@ -43,8 +43,9 @@ FloatMatrix GenerateLowIntrinsicDim(size_t n, size_t dim,
                                     uint64_t seed = 7);
 
 /// A named stand-in profile for one of the paper's ten datasets (Table III),
-/// with the cardinality scaled by `scale` (1.0 reproduces laptop-scale
-/// defaults listed in DESIGN.md, not the paper's raw sizes).
+/// with the cardinality scaled by `scale` (1.0 gives the laptop-scale
+/// stand-in sizes of PaperDatasetProfiles, not the paper's raw sizes; see
+/// docs/ARCHITECTURE.md, "Substitutions").
 struct DatasetProfile {
   std::string name;    ///< paper dataset name, e.g. "Gist"
   size_t n;            ///< stand-in cardinality

@@ -11,7 +11,7 @@ namespace dblsh::eval {
 /// ||q, o_i|| / ||q, o*_i||. 1.0 is exact; the paper reports ~1.001-1.02.
 /// When the method returns fewer than k points, the missing ranks are
 /// counted at the worst observed ratio of the query (a conservative
-/// convention, documented in EXPERIMENTS.md).
+/// convention).
 double OverallRatio(const std::vector<Neighbor>& returned,
                     const std::vector<Neighbor>& ground_truth);
 

@@ -113,68 +113,6 @@ std::vector<Neighbor> KdTree::Knn(const float* query, size_t k) const {
   return heap.TakeSorted();
 }
 
-void KdTree::WindowQuery(const float* lo, const float* hi,
-                         std::vector<uint32_t>* out) const {
-  WindowCursor cursor(this, lo, hi);
-  uint32_t id;
-  while (cursor.Next(&id)) out->push_back(id);
-}
-
-KdTree::WindowCursor::WindowCursor(const KdTree* tree, const float* lo,
-                                   const float* hi)
-    : tree_(tree), lo_(lo), hi_(hi) {
-  if (tree_->root_ >= 0) stack_.push_back({tree_->root_, 0});
-}
-
-bool KdTree::WindowCursor::BoxIntersects(const Node& node) const {
-  for (size_t j = 0; j < node.box_lo.size(); ++j) {
-    if (lo_[j] > node.box_hi[j] || hi_[j] < node.box_lo[j]) return false;
-  }
-  return true;
-}
-
-bool KdTree::WindowCursor::Next(uint32_t* id) {
-  const size_t dim = tree_->points_->cols();
-  while (!stack_.empty()) {
-    Frame& frame = stack_.back();
-    const Node& node = tree_->nodes_[static_cast<size_t>(frame.node)];
-    if (frame.idx == 0 && !BoxIntersects(node)) {
-      stack_.pop_back();
-      continue;
-    }
-    if (node.is_leaf()) {
-      while (node.begin + frame.idx < node.end) {
-        const uint32_t candidate = tree_->ids_[node.begin + frame.idx++];
-        const float* p = tree_->points_->row(candidate);
-        bool inside = true;
-        for (size_t j = 0; j < dim; ++j) {
-          if (p[j] < lo_[j] || p[j] > hi_[j]) {
-            inside = false;
-            break;
-          }
-        }
-        if (inside) {
-          *id = candidate;
-          return true;
-        }
-      }
-      stack_.pop_back();
-    } else {
-      // Two children; idx tracks which have been expanded.
-      if (frame.idx == 0) {
-        frame.idx = 1;
-        stack_.push_back({node.left, 0});
-      } else if (frame.idx == 1) {
-        frame.idx = 2;
-        stack_.push_back({node.right, 0});
-      } else {
-        stack_.pop_back();
-      }
-    }
-  }
-  return false;
-}
-
 KdTree::NnCursor::NnCursor(const KdTree* tree, const float* query)
     : tree_(tree), query_(query) {
   if (tree_->root_ >= 0) {

@@ -14,20 +14,18 @@ namespace dblsh::kdtree {
 /// Static kd-tree over the rows of an external low-dimensional
 /// `FloatMatrix`. Built once by recursive median splits; supports exact k-NN
 /// and *incremental* best-first NN enumeration, which is what the PM-LSH
-/// baseline needs (it keeps pulling projected-space neighbors until its
-/// candidate budget beta*n is exhausted).
+/// and SRS baselines need (they keep pulling projected-space neighbors
+/// until their candidate budget is exhausted).
 ///
-/// This stands in for the paper's PM-tree (see DESIGN.md substitutions): in
-/// a coordinate space of m ~ 15 dimensions, both structures provide exact
-/// incremental NN; the PM-LSH algorithm above it is unchanged.
+/// This stands in for PM-LSH's PM-tree (docs/ARCHITECTURE.md,
+/// "Substitutions"): in a coordinate space of m ~ 15 dimensions, both
+/// structures provide exact incremental NN; the PM-LSH algorithm above it
+/// is unchanged.
 ///
 /// Thread-safety: the tree is immutable once built and its queries and
 /// cursors only read it, so any number of threads may query one tree at
 /// once (each with its own cursors).
 class KdTree {
- private:
-  struct Node;  // defined below; forward-declared for the nested cursors
-
  public:
   /// Builds over all rows of `points`, which must outlive the tree.
   explicit KdTree(const FloatMatrix* points, size_t leaf_size = 16);
@@ -39,33 +37,6 @@ class KdTree {
 
   /// Exact k nearest rows to `query` (ascending distance).
   std::vector<Neighbor> Knn(const float* query, size_t k) const;
-
-  /// Collects ids inside the axis-aligned box [lo, hi] (inclusive bounds,
-  /// arrays of length dim()). Lets the kd-tree serve as an alternative
-  /// window-query backend for DB-LSH (the paper notes any index answering
-  /// low-dimensional window queries works).
-  void WindowQuery(const float* lo, const float* hi,
-                   std::vector<uint32_t>* out) const;
-
-  /// Streaming window query matching RStarTree::WindowCursor's contract.
-  class WindowCursor {
-   public:
-    WindowCursor(const KdTree* tree, const float* lo, const float* hi);
-
-    /// Advances to the next id in the window; returns false when exhausted.
-    bool Next(uint32_t* id);
-
-   private:
-    struct Frame {
-      int32_t node;
-      uint32_t idx;
-    };
-    bool BoxIntersects(const Node& node) const;
-    const KdTree* tree_;
-    const float* lo_;
-    const float* hi_;
-    std::vector<Frame> stack_;
-  };
 
   /// Streams rows in ascending distance from `query`.
   class NnCursor {

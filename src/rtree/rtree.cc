@@ -638,36 +638,9 @@ const float* RStarTree::Point(uint32_t id) const {
 
 void RStarTree::WindowQuery(const Rect& window,
                             std::vector<uint32_t>* out) const {
-  WindowQueryVisit(window, [out](uint32_t id) {
-    out->push_back(id);
-    return true;
-  });
-}
-
-void RStarTree::WindowQueryVisit(
-    const Rect& window, const std::function<bool(uint32_t)>& visit) const {
-  if (root_ == kNoNode || !window.Intersects(root_box_)) return;
-  const float* window_lo = window.lo_data();
-  const float* window_hi = window.hi_data();
-  std::vector<NodeRef> stack = {root_};
-  while (!stack.empty()) {
-    const NodeRef node = stack.back();
-    stack.pop_back();
-    if (IsLeaf(node)) {
-      for (size_t i = 0; i < Count(node); ++i) {
-        if (box::ContainsPoint(window_lo, window_hi, Lo(node, i), dim_)) {
-          if (!visit(Ref(node, i))) return;
-        }
-      }
-    } else {
-      for (size_t i = 0; i < Count(node); ++i) {
-        if (box::Intersects(window_lo, window_hi, Lo(node, i), Hi(node, i),
-                            dim_)) {
-          stack.push_back(Ref(node, i));
-        }
-      }
-    }
-  }
+  WindowCursor cursor(this, window);
+  uint32_t id = 0;
+  while (cursor.Next(&id)) out->push_back(id);
 }
 
 RTreeStats RStarTree::ComputeStats() const {

@@ -2,7 +2,6 @@
 #define DBLSH_RTREE_RTREE_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -82,12 +81,9 @@ class RStarTree {
   /// is not indexed. Valid until the next mutation of the tree.
   const float* Point(uint32_t id) const;
 
-  /// Collects all point ids inside `window` (inclusive bounds).
+  /// Appends all point ids inside `window` (inclusive bounds) to `out`, in
+  /// WindowCursor order.
   void WindowQuery(const Rect& window, std::vector<uint32_t>* out) const;
-
-  /// Visits ids inside `window`; return false from the visitor to stop early.
-  void WindowQueryVisit(const Rect& window,
-                        const std::function<bool(uint32_t)>& visit) const;
 
   /// Number of indexed points.
   size_t size() const { return size_; }

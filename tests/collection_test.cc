@@ -122,6 +122,7 @@ TEST(CollectionSpecTest, FromSpecRejectsMalformedSpecs) {
       "collection: DB-LSH; DB-LSH",      // duplicate default name
       "collection: DB-LSH,rebuild_threshold=abc",  // bad collection key
       "collection: DB-LSH,no_such_key=1",          // bad method key
+      "collection,compact_threshold=nan: LinearScan",  // non-finite real
   };
   for (const std::string& spec : bad) {
     auto made = Collection::FromSpec(spec, EasyDataPtr(200));

@@ -4,7 +4,9 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "baselines/fb_lsh.h"
@@ -40,6 +42,29 @@ TEST(DbLshBuildTest, RejectsBadApproximationRatio) {
   params.c = 1.0;
   DbLsh index(params);
   EXPECT_FALSE(index.Build(&data).ok());
+  // Non-finite reals, which Load would refuse in the file Save writes.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  DbLshParams c_nan, c_inf, w0_inf, r0_inf, slack_nan;
+  c_nan.c = nan;
+  c_inf.c = inf;
+  w0_inf.w0 = inf;
+  r0_inf.r0 = inf;
+  slack_nan.early_stop_slack = nan;
+  const std::pair<const char*, DbLshParams> cases[] = {
+      {"c = nan", c_nan},
+      {"c = inf", c_inf},
+      {"w0 = inf", w0_inf},
+      {"r0 = inf", r0_inf},
+      {"early_stop_slack = nan", slack_nan},
+  };
+  for (const auto& [what, bad] : cases) {
+    SCOPED_TRACE(what);
+    DbLsh non_finite(bad);
+    const Status status = non_finite.Build(&data);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << status.ToString();
+  }
 }
 
 TEST(DbLshBuildTest, RejectsZeroTables) {

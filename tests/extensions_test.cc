@@ -254,58 +254,6 @@ TEST(MultiProbeTest, FewerTablesThanE2Lsh) {
   EXPECT_LT(mp.NumHashFunctions(), e2.NumHashFunctions());
 }
 
-// ----------------------------------------------------------- kd backend --
-
-TEST(BackendTest, KdTreeBackendMatchesRecall) {
-  FloatMatrix data, queries;
-  SplitQueries(EasyData(3000), 20, 96, &data, &queries);
-  const auto gt = ComputeGroundTruth(data, queries, 10);
-  DbLshParams rstar_params;
-  DbLshParams kd_params;
-  kd_params.backend = IndexBackend::kKdTree;
-  DbLsh rstar(rstar_params), kd(kd_params);
-  ASSERT_TRUE(rstar.Build(&data).ok());
-  ASSERT_TRUE(kd.Build(&data).ok());
-  double rstar_recall = 0.0, kd_recall = 0.0;
-  for (size_t q = 0; q < queries.rows(); ++q) {
-    rstar_recall += eval::Recall(rstar.Query(queries.row(q), 10), gt[q]);
-    kd_recall += eval::Recall(kd.Query(queries.row(q), 10), gt[q]);
-  }
-  // Same projections, same buckets — only the retrieval order inside a
-  // window differs, so aggregate recall must be close.
-  EXPECT_NEAR(kd_recall / queries.rows(), rstar_recall / queries.rows(),
-              0.15);
-}
-
-TEST(BackendTest, KdTreeBackendFindsExactDuplicate) {
-  const FloatMatrix data = EasyData(1000);
-  DbLshParams params;
-  params.backend = IndexBackend::kKdTree;
-  DbLsh index(params);
-  ASSERT_TRUE(index.Build(&data).ok());
-  EXPECT_EQ(index.IndexEntries(), params.l * data.rows());
-  const auto result = index.Query(data.row(3), 5);
-  ASSERT_FALSE(result.empty());
-  EXPECT_FLOAT_EQ(result[0].dist, 0.f);
-}
-
-TEST(BackendTest, KdTreeBackendSurvivesPersistence) {
-  FloatMatrix data = EasyData(800);
-  DbLshParams params;
-  params.backend = IndexBackend::kKdTree;
-  DbLsh original(params);
-  ASSERT_TRUE(original.Build(&data).ok());
-  const std::string path = TempPath("dblsh_kd.idx");
-  ASSERT_TRUE(original.Save(path).ok());
-  auto loaded = DbLsh::Load(path, &data);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  const auto a = original.Query(data.row(11), 5);
-  const auto b = loaded.value().Query(data.row(11), 5);
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i].id, b[i].id);
-  std::remove(path.c_str());
-}
-
 // --------------------------------------------------------- Early stopping --
 
 TEST(EarlyStopTest, SlackBelowOneRejected) {

@@ -138,6 +138,11 @@ TEST(IndexFactoryTest, MalformedSpecsReturnStatusErrors) {
            "DB-LSH,bucketing=diagonal",  // unknown enum token
            "LinearScan,c=1.5",    // key on a parameterless method
            "PM-LSH,t_factor=x",   // unparsable double, baseline binder
+           "DB-LSH,backend=kdtree",       // retired key: R*-trees only
+           "DB-LSH,c=nan",                // non-finite doubles
+           "DB-LSH,w0=inf",
+           "DB-LSH,early_stop_slack=nan",
+           "PM-LSH,c=inf",
        }) {
     SCOPED_TRACE(spec);
     auto made = IndexFactory::Make(spec);
@@ -209,9 +214,17 @@ TEST(QueryApiTest, BatchMatchesSequentialSearch) {
     SCOPED_TRACE(spec);
     auto made = IndexFactory::Make(spec);
     ASSERT_TRUE(made.ok());
-    ASSERT_TRUE(made.value()->Build(&data).ok());
     QueryRequest request;
     request.k = 9;
+    // Before Build, every query path answers empty instead of crashing.
+    EXPECT_TRUE(made.value()->Query(data.row(0), 9).empty());
+    EXPECT_TRUE(made.value()->Search(data.row(0), request).neighbors.empty());
+    const auto unbuilt = made.value()->QueryBatch(queries, request, 4);
+    ASSERT_EQ(unbuilt.size(), queries.rows());
+    for (const QueryResponse& response : unbuilt) {
+      EXPECT_TRUE(response.neighbors.empty());
+    }
+    ASSERT_TRUE(made.value()->Build(&data).ok());
     for (const size_t threads : {size_t{1}, size_t{4}}) {
       SCOPED_TRACE(threads);
       const auto batched =

@@ -1,11 +1,10 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <cmath>
 
 #include "dataset/ground_truth.h"
 #include "dataset/synthetic.h"
 #include "kdtree/kd_tree.h"
-#include "util/random.h"
 
 namespace dblsh::kdtree {
 namespace {
@@ -90,62 +89,6 @@ TEST(KdTreeTest, KGreaterThanN) {
   KdTree tree(&points);
   const float q[2] = {5, 5};
   EXPECT_EQ(tree.Knn(q, 50).size(), 7u);
-}
-
-TEST(KdTreeTest, WindowQueryMatchesBruteForce) {
-  const FloatMatrix points = GenerateClustered(
-      {.n = 2000, .dim = 5, .clusters = 8, .seed = 49});
-  KdTree tree(&points);
-  Rng rng(50);
-  for (int trial = 0; trial < 40; ++trial) {
-    const uint32_t anchor = static_cast<uint32_t>(rng.UniformInt(2000));
-    const double half = rng.Uniform(0.5, 25.0);
-    std::vector<float> lo(5), hi(5);
-    for (size_t j = 0; j < 5; ++j) {
-      lo[j] = points.at(anchor, j) - static_cast<float>(half);
-      hi[j] = points.at(anchor, j) + static_cast<float>(half);
-    }
-    std::vector<uint32_t> got;
-    tree.WindowQuery(lo.data(), hi.data(), &got);
-    std::vector<uint32_t> expected;
-    for (uint32_t i = 0; i < points.rows(); ++i) {
-      bool inside = true;
-      for (size_t j = 0; j < 5; ++j) {
-        if (points.at(i, j) < lo[j] || points.at(i, j) > hi[j]) {
-          inside = false;
-          break;
-        }
-      }
-      if (inside) expected.push_back(i);
-    }
-    std::sort(got.begin(), got.end());
-    EXPECT_EQ(got, expected) << "trial " << trial;
-  }
-}
-
-TEST(KdTreeTest, WindowCursorStreamsWithoutDuplicates) {
-  const FloatMatrix points = GenerateUniform(1500, 4, 50.0, 51);
-  KdTree tree(&points);
-  std::vector<float> lo(4, 10.f), hi(4, 40.f);
-  KdTree::WindowCursor cursor(&tree, lo.data(), hi.data());
-  std::vector<uint32_t> streamed;
-  uint32_t id;
-  while (cursor.Next(&id)) streamed.push_back(id);
-  std::vector<uint32_t> batch;
-  tree.WindowQuery(lo.data(), hi.data(), &batch);
-  std::sort(streamed.begin(), streamed.end());
-  std::sort(batch.begin(), batch.end());
-  EXPECT_EQ(streamed, batch);
-  EXPECT_EQ(std::unique(streamed.begin(), streamed.end()), streamed.end());
-}
-
-TEST(KdTreeTest, EmptyWindowYieldsNothing) {
-  const FloatMatrix points = GenerateUniform(500, 3, 10.0, 52);
-  KdTree tree(&points);
-  std::vector<float> lo(3, 100.f), hi(3, 200.f);  // outside the data
-  std::vector<uint32_t> out;
-  tree.WindowQuery(lo.data(), hi.data(), &out);
-  EXPECT_TRUE(out.empty());
 }
 
 TEST(KdTreeTest, LeafSizeOneWorks) {

@@ -753,10 +753,12 @@ TEST(StorePersistenceTest, CraftedIndexFilesAreCorruptionNotBadAlloc) {
 }
 
 // Stored parameters that Build() never produces are Corruption, not a
-// different index: an unknown bucketing or backend byte, t = 0,
-// auto_r0 <= 0, early_stop_slack < 1, or a non-finite c, w0, auto_r0 or
-// early_stop_slack. Each case patches one field of a saved fp32 index at
-// its docs/API.md offset.
+// different index: an unknown bucketing byte, a backend byte above 1,
+// t = 0, auto_r0 <= 0, early_stop_slack < 1, or a non-finite c, w0,
+// auto_r0 or early_stop_slack. Each case patches one field of a saved fp32
+// index at its docs/API.md offset. A backend byte of 1 (the retired
+// kd-tree backend, which wrote its projected spaces in the same layout)
+// loads as the index the unpatched file holds.
 TEST(StorePersistenceTest, LoadRejectsStoredParametersBuildNeverWrites) {
   FloatMatrix data = RandomMatrix(64, 4, 73);
   DbLsh index;
@@ -814,7 +816,24 @@ TEST(StorePersistenceTest, LoadRejectsStoredParametersBuildNeverWrites) {
         << loaded.status().ToString();
   }
   WriteAll(path, saved);
-  EXPECT_TRUE(DbLsh::Load(path, &data).ok());
+  auto unpatched = DbLsh::Load(path, &data);
+  ASSERT_TRUE(unpatched.ok()) << unpatched.status().ToString();
+  WriteAll(path, patched(kBackend, uint8_t{1}));
+  auto kd_file = DbLsh::Load(path, &data);
+  ASSERT_TRUE(kd_file.ok()) << kd_file.status().ToString();
+  for (size_t q = 0; q < data.rows(); ++q) {
+    SCOPED_TRACE(q);
+    QueryStats want, got;
+    EXPECT_EQ(kd_file.value().Query(data.row(q), 5, &got),
+              unpatched.value().Query(data.row(q), 5, &want));
+    EXPECT_EQ(got.candidates_verified, want.candidates_verified);
+    EXPECT_EQ(got.points_accessed, want.points_accessed);
+    EXPECT_EQ(got.rounds, want.rounds);
+    EXPECT_EQ(got.window_queries, want.window_queries);
+  }
+  // It is the same index: saving it writes the unpatched file.
+  ASSERT_TRUE(kd_file.value().Save(path).ok());
+  EXPECT_EQ(ReadAll(path), saved);
   std::remove(path.c_str());
 }
 

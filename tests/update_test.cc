@@ -226,14 +226,6 @@ TEST(InsertTest, ProtocolViolationsAreRejected) {
   EXPECT_EQ(unbuilt.Erase(0).code(), StatusCode::kInvalidArgument);
   // Erase of an id the trees do not hold.
   EXPECT_EQ(index.Erase(9999).code(), StatusCode::kNotFound);
-  // kd-tree backend is static.
-  DbLshParams kd_params;
-  kd_params.backend = IndexBackend::kKdTree;
-  DbLsh kd(kd_params);
-  ASSERT_TRUE(kd.Build(&data).ok());
-  EXPECT_FALSE(kd.SupportsUpdates());
-  EXPECT_EQ(kd.Insert(0).code(), StatusCode::kUnimplemented);
-  EXPECT_EQ(kd.Erase(0).code(), StatusCode::kUnimplemented);
 }
 
 TEST(InsertTest, InsertOfAnIndexedIdIsRejected) {
