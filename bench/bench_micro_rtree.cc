@@ -1,16 +1,18 @@
 // Micro-benchmarks for the R*-tree substrate (google-benchmark): STR bulk
 // loading vs insertion throughput, window queries, and cursor streaming
 // (a few candidates per window, and whole windows drained at DB-LSH's
-// end-to-end scale).
+// end-to-end scale). Window queries and drains run once per SIMD tier.
 // These quantify the "efficient window queries via multi-dimensional
 // indexes" claim underlying DB-LSH's dynamic bucketing overhead argument.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <vector>
 
 #include "dataset/synthetic.h"
 #include "lsh/projection.h"
 #include "rtree/rtree.h"
+#include "simd/simd.h"
 #include "util/random.h"
 
 namespace dblsh::rtree {
@@ -51,12 +53,30 @@ void BM_InsertBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_InsertBuild)->Arg(1000)->Arg(10000);
 
+// The window queries below take the SIMD tier (a simd::KernelKind: 0
+// scalar, 1 avx2, 2 avx512) as their last argument: the cursor tests each
+// node with that tier's window kernel.
+const std::vector<int64_t> kTiers = {0, 1, 2};
+
+/// Pins the tier in argument `arg` for the run; false, with the run
+/// skipped, when this CPU or binary lacks it.
+bool PinTier(benchmark::State& state, int arg) {
+  const auto kind = static_cast<simd::KernelKind>(state.range(arg));
+  if (!simd::ForceKernel(kind).ok()) {
+    state.SkipWithError("SIMD tier not supported here");
+    return false;
+  }
+  state.SetLabel(simd::KernelName(kind));
+  return true;
+}
+
 void BM_WindowQuery(benchmark::State& state) {
   const FloatMatrix points = MakePoints(50000, 10);
   RStarTree tree(points.cols());
   (void)tree.BulkLoadAll(points);
   Rng rng(92);
   std::vector<uint32_t> out;
+  if (!PinTier(state, 1)) return;
   for (auto _ : state) {
     out.clear();
     const uint32_t anchor = static_cast<uint32_t>(rng.UniformInt(50000));
@@ -64,8 +84,11 @@ void BM_WindowQuery(benchmark::State& state) {
         Rect::Window(points.row(anchor), 10, double(state.range(0))), &out);
     benchmark::DoNotOptimize(out.data());
   }
+  simd::UseAutoKernel();
 }
-BENCHMARK(BM_WindowQuery)->Arg(2)->Arg(8)->Arg(32);
+BENCHMARK(BM_WindowQuery)
+    ->ArgsProduct({{2, 8, 32}, kTiers})
+    ->ArgNames({"width", "tier"});
 
 void BM_CursorFirstTen(benchmark::State& state) {
   // DB-LSH's access pattern: open a window cursor, take a few candidates,
@@ -124,6 +147,7 @@ void BM_CursorDrain(benchmark::State& state) {
   RStarTree tree(space.points.cols());
   (void)tree.BulkLoadAll(space.points);
   size_t q = 0, yielded = 0, windows = 0;
+  if (!PinTier(state, 0)) return;
   for (auto _ : state) {
     RStarTree::WindowCursor cursor(
         &tree, Rect::Window(space.centers.row(q), 10, kWidth));
@@ -132,11 +156,12 @@ void BM_CursorDrain(benchmark::State& state) {
     while (cursor.Next(&id)) ++yielded;
     ++windows;
   }
+  simd::UseAutoKernel();
   state.SetItemsProcessed(static_cast<int64_t>(yielded));
   state.counters["points_per_window"] =
       static_cast<double>(yielded) / static_cast<double>(windows);
 }
-BENCHMARK(BM_CursorDrain);
+BENCHMARK(BM_CursorDrain)->ArgsProduct({kTiers})->ArgNames({"tier"});
 
 }  // namespace
 }  // namespace dblsh::rtree

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <memory>
+#include <string>
 
 #include "core/index_factory.h"
 #include "dataset/ground_truth.h"
@@ -10,6 +12,21 @@
 #include "util/random.h"
 
 namespace dblsh {
+namespace {
+
+/// Algorithm 1's candidate budget 2*t*L + extra, saturated at SIZE_MAX:
+/// a t too large to count means no budget, never a wrapped small one.
+size_t CandidateBudget(size_t t, size_t l, size_t extra) {
+  size_t budget = 0;
+  if (__builtin_mul_overflow(t, l, &budget) ||
+      __builtin_mul_overflow(budget, size_t{2}, &budget) ||
+      __builtin_add_overflow(budget, extra, &budget)) {
+    return std::numeric_limits<size_t>::max();
+  }
+  return budget;
+}
+
+}  // namespace
 
 DbLsh::DbLsh(DbLshParams params) : params_(params) {}
 
@@ -39,12 +56,20 @@ Status DbLsh::Build(const FloatMatrix* data) {
     return Status::InvalidArgument(
         "early_stop_slack must be >= 1 (1 = the paper's exact condition)");
   }
-  data_ = data;
   const size_t n = data->rows();
 
   // Paper defaults (Sec. VI-A).
   if (params_.w0 <= 0.0) params_.w0 = 4.0 * params_.c * params_.c;
   if (params_.k == 0) params_.k = (n > 1000000) ? 12 : 10;
+  // The projection bank holds l*k directions of dim floats each.
+  size_t bank_floats = 0;
+  if (__builtin_mul_overflow(params_.l, params_.k, &bank_floats) ||
+      __builtin_mul_overflow(bank_floats, data->cols(), &bank_floats)) {
+    return Status::InvalidArgument(
+        "l * k * dim overflows size_t (l=" + std::to_string(params_.l) +
+        ", k=" + std::to_string(params_.k) +
+        ", dim=" + std::to_string(data->cols()) + ")");
+  }
   if (params_.t == 0) {
     // Default candidate budget 2tL ~ max(192, 4*sqrt(n)): grows sub-linearly
     // with n (the theory's budget is O(tL) = O(n^rho*)), which is what keeps
@@ -63,6 +88,7 @@ Status DbLsh::Build(const FloatMatrix* data) {
                                       *data, params_.seed ^ 0x5EEDULL) /
                                       (params_.c * params_.c));
 
+  data_ = data;
   bank_ = std::make_unique<lsh::ProjectionBank>(params_.l * params_.k,
                                                 data->cols(), params_.seed);
 
@@ -212,7 +238,7 @@ std::vector<Neighbor> DbLsh::QueryImpl(const float* query, size_t k, size_t t,
   bank_->ProjectAll(query, proj.data());
   TopKHeap heap(k);
   CandidateVerifier verifier(query, data_, &heap, stats);
-  verifier.set_budget(2 * t * params_.l + k);
+  verifier.set_budget(CandidateBudget(t, params_.l, k));
   double r = r0;
   // The radius ladder r0, c*r0, c^2*r0, ... terminates via the Algorithm 1
   // conditions; the iteration cap only guards degenerate inputs (it allows
@@ -231,7 +257,7 @@ std::optional<Neighbor> DbLsh::RcNnQuery(const float* query, double r,
   const QueryMarks marks = QueryMarks::Begin(data_->rows());
   std::vector<float> proj(params_.l * params_.k);
   bank_->ProjectAll(query, proj.data());
-  const size_t budget = 2 * params_.t * params_.l + 1;
+  const size_t budget = CandidateBudget(params_.t, params_.l, 1);
   TopKHeap heap(1);
   CandidateVerifier verifier(query, data_, &heap, stats);
   verifier.set_budget(budget);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
 #include <cmath>
 #include <cstdlib>
 #include <utility>
@@ -183,13 +184,21 @@ void SpecReader::Key(const std::string& key, std::string* out) {
 }
 
 bool SpecReader::ConsumeUnsigned(const std::string& key,
+                                 unsigned long long max,
                                  unsigned long long* out) {
   const std::string* raw = Raw(key);
   if (raw == nullptr) return false;
   char* end = nullptr;
+  errno = 0;
   const unsigned long long value = std::strtoull(raw->c_str(), &end, 10);
   if (end == raw->c_str() || *end != '\0' || raw->front() == '-') {
     RecordError(key, "a non-negative integer");
+    return false;
+  }
+  // strtoull saturates at ULLONG_MAX with ERANGE on overflow.
+  if (errno == ERANGE || value > max) {
+    RecordError(key,
+                ("an integer no greater than " + std::to_string(max)).c_str());
     return false;
   }
   *out = value;

@@ -2,6 +2,7 @@
 #define DBLSH_CORE_INDEX_FACTORY_H_
 
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
@@ -105,15 +106,18 @@ class SpecReader {
   /// Raw-token keys (e.g. bucketing=dynamic); no parsing beyond lookup.
   void Key(const std::string& key, std::string* out);
 
-  /// Unsigned-integer keys (size_t, uint64_t, ...). bool and the exact
-  /// overloads above take precedence.
+  /// Unsigned-integer keys (size_t, uint32_t, ...). A value that does not
+  /// fit T is a parse failure, never wrapped. bool and the exact overloads
+  /// above take precedence.
   template <typename T,
             std::enable_if_t<std::is_integral_v<T> && std::is_unsigned_v<T> &&
                                  !std::is_same_v<T, bool>,
                              int> = 0>
   void Key(const std::string& key, T* out) {
     unsigned long long value = 0;
-    if (ConsumeUnsigned(key, &value)) *out = static_cast<T>(value);
+    if (ConsumeUnsigned(key, std::numeric_limits<T>::max(), &value)) {
+      *out = static_cast<T>(value);
+    }
   }
 
   /// OK when every provided key was consumed and parsed; first offending
@@ -124,7 +128,10 @@ class SpecReader {
   /// Marks `key` consumed and returns its raw value, or nullptr when the
   /// spec does not set it.
   const std::string* Raw(const std::string& key);
-  bool ConsumeUnsigned(const std::string& key, unsigned long long* out);
+  /// Parses `key`'s value as a decimal integer in [0, max] into `out`;
+  /// false when the key is absent or (error recorded) when it does not.
+  bool ConsumeUnsigned(const std::string& key, unsigned long long max,
+                       unsigned long long* out);
   void RecordError(const std::string& key, const char* expected);
 
   const IndexFactory::Spec& spec_;

@@ -1,12 +1,15 @@
 #include "rtree/rtree.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <limits>
 #include <numeric>
 #include <string>
 #include <utility>
+
+#include "simd/simd.h"
 
 namespace dblsh::rtree {
 
@@ -720,56 +723,62 @@ size_t RStarTree::CheckInvariants() const {
 // ---------------------------------------------------------------------------
 
 struct RStarTree::WindowCursor::Frame {
+  const uint32_t* refs;  // the node's refs, from slot 0
   NodeRef node;
-  uint32_t next;  // slot to test next
+  uint32_t base;  // the slot of bit 0 of `hits`
+  uint64_t hits;  // slots base + s that meet the window, not yet taken
 };
 
 RStarTree::WindowCursor::WindowCursor(const RStarTree* tree, Rect window)
-    : tree_(tree), window_(std::move(window)) {
+    : tree_(tree), kernels_(&simd::Active()), window_(std::move(window)) {
   if (tree_->root_ != kNoNode && window_.Intersects(tree_->root_box_)) {
     stack_.reserve(8);
-    stack_.push_back({tree_->root_, 0});
+    Push(tree_->root_);
   }
 }
 
 RStarTree::WindowCursor::~WindowCursor() = default;
 RStarTree::WindowCursor::WindowCursor(WindowCursor&&) noexcept = default;
 
+uint64_t RStarTree::WindowCursor::Test(NodeRef node, uint32_t base) const {
+  const Pool& pool = tree_->PoolOf(node);
+  const uint32_t block = BlockOf(node);
+  const size_t n = std::min<size_t>(pool.count[block] - base, 64);
+  const float* values = pool.Values(block, base);
+  return IsLeaf(node)
+             ? kernels_->points_in_window(window_.lo_data(), window_.hi_data(),
+                                          values, tree_->dim_, n)
+             : kernels_->boxes_meeting_window(window_.lo_data(),
+                                              window_.hi_data(), values,
+                                              tree_->dim_, n);
+}
+
+void RStarTree::WindowCursor::Push(NodeRef node) {
+  const uint32_t block = BlockOf(node);
+  stack_.push_back(
+      {tree_->PoolOf(node).Refs(block), node, 0, Test(node, 0)});
+}
+
 bool RStarTree::WindowCursor::Next(uint32_t* id) {
-  const size_t dim = tree_->dim_;
-  const float* window_lo = window_.lo_data();
-  const float* window_hi = window_.hi_data();
   while (!stack_.empty()) {
     Frame& frame = stack_.back();
-    const uint32_t block = BlockOf(frame.node);
-    if (IsLeaf(frame.node)) {
-      const Pool& leaves = tree_->leaves_;
-      const uint32_t count = leaves.count[block];
-      const float* point = leaves.Values(block, frame.next);
-      for (; frame.next < count; point += dim) {
-        const uint32_t slot = frame.next++;
-        if (box::ContainsPoint(window_lo, window_hi, point, dim)) {
-          *id = leaves.Refs(block)[slot];
-          return true;
-        }
+    if (frame.hits == 0) {
+      const uint32_t base = frame.base + 64;
+      if (base < tree_->Count(frame.node)) {
+        frame.base = base;
+        frame.hits = Test(frame.node, base);
+      } else {
+        stack_.pop_back();
       }
-      stack_.pop_back();
-    } else {
-      const Pool& inner = tree_->inner_;
-      const uint32_t count = inner.count[block];
-      const float* child_box = inner.Values(block, frame.next);
-      bool descended = false;
-      for (; frame.next < count; child_box += 2 * dim) {
-        const uint32_t slot = frame.next++;
-        if (box::Intersects(window_lo, window_hi, child_box, child_box + dim,
-                            dim)) {
-          stack_.push_back({inner.Refs(block)[slot], 0});
-          descended = true;
-          break;
-        }
-      }
-      if (!descended) stack_.pop_back();
+      continue;
     }
+    const uint32_t ref = frame.refs[frame.base + std::countr_zero(frame.hits)];
+    frame.hits &= frame.hits - 1;
+    if (IsLeaf(frame.node)) {
+      *id = ref;
+      return true;
+    }
+    Push(ref);
   }
   return false;
 }

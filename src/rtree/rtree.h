@@ -9,6 +9,10 @@
 #include "rtree/rect.h"
 #include "util/status.h"
 
+namespace dblsh::simd {
+struct DistanceKernels;
+}  // namespace dblsh::simd
+
 namespace dblsh::rtree {
 
 /// Tuning knobs. Defaults follow Beckmann et al.'s recommendations
@@ -101,8 +105,13 @@ class RStarTree {
 
   /// Streaming window query: yields matching ids one at a time so callers
   /// (DB-LSH's Algorithm 1) can stop after a candidate budget without paying
-  /// for the rest of the window. Children and entries are visited in slot
-  /// order, depth first. The tree must not change while a cursor is open.
+  /// for the rest of the window. When it reaches a node, the cursor tests
+  /// the node's slots against the window in one call of the active SIMD
+  /// tier's window kernel (64 slots at a time), then yields the hits of a
+  /// leaf, or descends into the hit children of an inner node, in slot
+  /// order, depth first: the same ids in the same order on every tier. The
+  /// tier is read once, when the cursor opens. The tree must not change
+  /// while a cursor is open.
   class WindowCursor {
    public:
     /// A cursor over the ids of `tree` inside `window`.
@@ -118,7 +127,14 @@ class RStarTree {
 
    private:
     struct Frame;
+    /// The window mask of the slots base..base+63 (those that exist) of
+    /// `node`, a NodeRef.
+    uint64_t Test(uint32_t node, uint32_t base) const;
+    /// Opens a frame on `node`, a NodeRef, testing its first 64 slots.
+    void Push(uint32_t node);
+
     const RStarTree* tree_;
+    const simd::DistanceKernels* kernels_;
     Rect window_;
     std::vector<Frame> stack_;
   };

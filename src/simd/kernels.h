@@ -87,10 +87,10 @@ void PqAdcBatchImpl(const float* lut, const uint8_t* codes, size_t m,
 }
 
 // Per-ISA raw entry points. Contracts are uniform — no alignment
-// requirement, any dim (tail handled scalar), results match the scalar
-// tier to float rounding — so they are documented once here rather than
-// per prototype. Call only after CPUID says the tier is supported (the
-// dispatcher in simd.cc guarantees this).
+// requirement, any dim (tail handled scalar or masked), results match the
+// scalar tier to float rounding (the window masks exactly) — so they are
+// documented once here rather than per prototype. Call only after CPUID
+// says the tier is supported (the dispatcher in simd.cc guarantees this).
 #if defined(DBLSH_HAVE_AVX2)
 /// ||a - b||^2 with 8-lane FMA accumulation.
 float L2SquaredAvx2(const float* a, const float* b, size_t dim);
@@ -115,6 +115,14 @@ float PqAdcAvx2(const float* lut, const uint8_t* code, size_t m);
 /// One-to-many PQ ADC score (see PqAdcBatchImpl for semantics).
 void PqAdcBatchAvx2(const float* lut, const uint8_t* codes, size_t m,
                     const uint32_t* ids, size_t n, float* out);
+/// Window mask over up to 64 points (see DistanceKernels), 8 axes per
+/// compare; the last chunk is a masked load.
+uint64_t PointsInWindowAvx2(const float* lo, const float* hi,
+                            const float* points, size_t dim, size_t n);
+/// Window mask over up to 64 boxes (see DistanceKernels), 8 axes per
+/// compare; the last chunk is a masked load.
+uint64_t BoxesMeetingWindowAvx2(const float* lo, const float* hi,
+                                const float* boxes, size_t dim, size_t n);
 #endif
 
 #if defined(DBLSH_HAVE_AVX512)
@@ -147,6 +155,14 @@ float PqAdcAvx512(const float* lut, const uint8_t* code, size_t m);
 /// own sums, so per-row results stay bit-identical to ScalarPqAdc.
 void PqAdcBatchAvx512(const float* lut, const uint8_t* codes, size_t m,
                       const uint32_t* ids, size_t n, float* out);
+/// Window mask over up to 64 points (see DistanceKernels), 16 axes per
+/// compare; the last chunk is a masked load.
+uint64_t PointsInWindowAvx512(const float* lo, const float* hi,
+                              const float* points, size_t dim, size_t n);
+/// Window mask over up to 64 boxes (see DistanceKernels), 16 axes per
+/// compare; the last chunk is a masked load.
+uint64_t BoxesMeetingWindowAvx512(const float* lo, const float* hi,
+                                  const float* boxes, size_t dim, size_t n);
 #endif
 
 }  // namespace internal

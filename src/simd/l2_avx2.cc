@@ -207,6 +207,81 @@ void PqAdcBatchAvx2(const float* lut, const uint8_t* codes, size_t m,
   PqAdcBatchImpl<&PqAdcAvx2>(lut, codes, m, ids, n, out);
 }
 
+namespace {
+
+/// A maskload mask selecting lanes [0, rem), rem in [0, 8].
+inline __m256i LeadingLanes(size_t rem) {
+  return _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(rem)),
+                            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+}
+
+}  // namespace
+
+// The window kernels test every axis of an entry with ordered compares
+// (false when either side is NaN, as the scalar `<` and `>` are) and OR
+// the out-of-window lanes together, so an entry costs the same compares
+// whichever axis excludes it: no branch depends on the data. Lanes past
+// `dim` are masked out of the loads, read as 0 on both sides, and so are
+// never out.
+
+uint64_t PointsInWindowAvx2(const float* lo, const float* hi,
+                            const float* points, size_t dim, size_t n) {
+  const size_t full = dim & ~size_t{7};
+  const __m256i tail = LeadingLanes(dim - full);
+  const __m256 lo_tail = _mm256_maskload_ps(lo + full, tail);
+  const __m256 hi_tail = _mm256_maskload_ps(hi + full, tail);
+  uint64_t hits = 0;
+  for (size_t s = 0; s < n; ++s, points += dim) {
+    __m256 out = _mm256_setzero_ps();
+    for (size_t j = 0; j < full; j += 8) {
+      const __m256 p = _mm256_loadu_ps(points + j);
+      out = _mm256_or_ps(
+          out, _mm256_or_ps(
+                   _mm256_cmp_ps(p, _mm256_loadu_ps(lo + j), _CMP_LT_OQ),
+                   _mm256_cmp_ps(p, _mm256_loadu_ps(hi + j), _CMP_GT_OQ)));
+    }
+    const __m256 p = _mm256_maskload_ps(points + full, tail);
+    out = _mm256_or_ps(out,
+                       _mm256_or_ps(_mm256_cmp_ps(p, lo_tail, _CMP_LT_OQ),
+                                    _mm256_cmp_ps(p, hi_tail, _CMP_GT_OQ)));
+    hits |= static_cast<uint64_t>(_mm256_testz_ps(out, out)) << s;
+  }
+  return hits;
+}
+
+uint64_t BoxesMeetingWindowAvx2(const float* lo, const float* hi,
+                                const float* boxes, size_t dim, size_t n) {
+  const size_t full = dim & ~size_t{7};
+  const __m256i tail = LeadingLanes(dim - full);
+  const __m256 lo_tail = _mm256_maskload_ps(lo + full, tail);
+  const __m256 hi_tail = _mm256_maskload_ps(hi + full, tail);
+  uint64_t hits = 0;
+  for (size_t s = 0; s < n; ++s, boxes += 2 * dim) {
+    const float* box_lo = boxes;
+    const float* box_hi = boxes + dim;
+    __m256 out = _mm256_setzero_ps();
+    for (size_t j = 0; j < full; j += 8) {
+      out = _mm256_or_ps(
+          out,
+          _mm256_or_ps(_mm256_cmp_ps(_mm256_loadu_ps(lo + j),
+                                     _mm256_loadu_ps(box_hi + j), _CMP_GT_OQ),
+                       _mm256_cmp_ps(_mm256_loadu_ps(hi + j),
+                                     _mm256_loadu_ps(box_lo + j),
+                                     _CMP_LT_OQ)));
+    }
+    out = _mm256_or_ps(
+        out,
+        _mm256_or_ps(_mm256_cmp_ps(lo_tail,
+                                   _mm256_maskload_ps(box_hi + full, tail),
+                                   _CMP_GT_OQ),
+                     _mm256_cmp_ps(hi_tail,
+                                   _mm256_maskload_ps(box_lo + full, tail),
+                                   _CMP_LT_OQ)));
+    hits |= static_cast<uint64_t>(_mm256_testz_ps(out, out)) << s;
+  }
+  return hits;
+}
+
 }  // namespace internal
 }  // namespace simd
 }  // namespace dblsh

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <string>
 
+#include "rtree/rect.h"
 #include "simd/kernels.h"
 #include "simd/scalar_kernels.h"
 
@@ -60,10 +61,34 @@ void PqAdcBatchScalar(const float* lut, const uint8_t* codes, size_t m,
   internal::PqAdcBatchImpl<&PqAdcScalarKernel>(lut, codes, m, ids, n, out);
 }
 
+// The window tests are the R*-tree's own box loops, one entry at a time.
+uint64_t PointsInWindowScalar(const float* lo, const float* hi,
+                              const float* points, size_t dim, size_t n) {
+  uint64_t hits = 0;
+  for (size_t s = 0; s < n; ++s, points += dim) {
+    if (rtree::box::ContainsPoint(lo, hi, points, dim)) {
+      hits |= uint64_t{1} << s;
+    }
+  }
+  return hits;
+}
+
+uint64_t BoxesMeetingWindowScalar(const float* lo, const float* hi,
+                                  const float* boxes, size_t dim, size_t n) {
+  uint64_t hits = 0;
+  for (size_t s = 0; s < n; ++s, boxes += 2 * dim) {
+    if (rtree::box::Intersects(lo, hi, boxes, boxes + dim, dim)) {
+      hits |= uint64_t{1} << s;
+    }
+  }
+  return hits;
+}
+
 constexpr DistanceKernels kScalarKernels = {
     &L2SquaredScalar, &DotScalar, &L2SquaredBatchScalar,
     &Sq8ScoreScalarKernel, &Sq8ScoreBatchScalar, &Sq8L2AsymScalarKernel,
     &PqAdcScalarKernel, &PqAdcBatchScalar,
+    &PointsInWindowScalar, &BoxesMeetingWindowScalar,
     KernelKind::kScalar, "scalar"};
 
 #if defined(DBLSH_HAVE_AVX2)
@@ -72,6 +97,7 @@ constexpr DistanceKernels kAvx2Kernels = {
     &internal::L2SquaredBatchAvx2, &internal::Sq8ScoreAvx2,
     &internal::Sq8ScoreBatchAvx2, &internal::Sq8L2AsymAvx2,
     &internal::PqAdcAvx2, &internal::PqAdcBatchAvx2,
+    &internal::PointsInWindowAvx2, &internal::BoxesMeetingWindowAvx2,
     KernelKind::kAvx2, "avx2"};
 #endif
 #if defined(DBLSH_HAVE_AVX512)
@@ -80,6 +106,7 @@ constexpr DistanceKernels kAvx512Kernels = {
     &internal::L2SquaredBatchAvx512, &internal::Sq8ScoreAvx512,
     &internal::Sq8ScoreBatchAvx512, &internal::Sq8L2AsymAvx512,
     &internal::PqAdcAvx512, &internal::PqAdcBatchAvx512,
+    &internal::PointsInWindowAvx512, &internal::BoxesMeetingWindowAvx512,
     KernelKind::kAvx512, "avx512"};
 #endif
 

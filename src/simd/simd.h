@@ -76,6 +76,23 @@ struct DistanceKernels {
   void (*pq_adc_batch)(const float* lut, const uint8_t* codes, size_t m,
                        const uint32_t* ids, size_t n, float* out);
 
+  /// R*-tree leaf test over n <= 64 consecutive points, point s being the
+  /// `dim` floats at `points + s * dim`: bit s of the result is set iff
+  /// rtree::box::ContainsPoint(lo, hi, point s, dim), the inclusive
+  /// window [lo, hi]. Bits n..63 are zero. Every tier gives the same mask,
+  /// NaN and signed zeros included (ordered compares, as the scalar `<` and
+  /// `>`), and reads no float past point n-1 (vector tails are masked).
+  uint64_t (*points_in_window)(const float* lo, const float* hi,
+                               const float* points, size_t dim, size_t n);
+
+  /// R*-tree inner-node test over n <= 64 consecutive boxes, box s being
+  /// the `2 * dim` floats at `boxes + s * 2 * dim` (its `dim` lows, then
+  /// its `dim` highs): bit s is set iff rtree::box::Intersects(lo, hi, box
+  /// s's lows, box s's highs, dim). Same exactness and bounds as
+  /// points_in_window.
+  uint64_t (*boxes_meeting_window)(const float* lo, const float* hi,
+                                   const float* boxes, size_t dim, size_t n);
+
   KernelKind kind;
   const char* name;
 };

@@ -123,6 +123,8 @@ TEST(CollectionSpecTest, FromSpecRejectsMalformedSpecs) {
       "collection: DB-LSH,rebuild_threshold=abc",  // bad collection key
       "collection: DB-LSH,no_such_key=1",          // bad method key
       "collection,compact_threshold=nan: LinearScan",  // non-finite real
+      "collection,shards=99999999999999999999999: LinearScan",  // > 64 bits
+      "collection,wal_sync=4294967297: LinearScan",  // wraps uint32_t to 1
   };
   for (const std::string& spec : bad) {
     auto made = Collection::FromSpec(spec, EasyDataPtr(200));

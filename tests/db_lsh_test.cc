@@ -201,6 +201,31 @@ TEST(DbLshQueryTest, RespectsCandidateBudget) {
             2 * index.params().t * index.params().l + k);
 }
 
+TEST(DbLshQueryTest, HugeCandidateBudgetIsUnbounded) {
+  // 2*t*L + k saturates: a t too large to count is no budget at all, so
+  // it finds what a large finite budget finds, never what a budget wrapped
+  // down to k finds.
+  const FloatMatrix data = EasyData(2000, 16);
+  DbLsh index;
+  ASSERT_TRUE(index.Build(&data).ok());
+  QueryRequest request;
+  request.k = 10;
+  for (const uint32_t row : {3u, 400u, 1111u, 1999u}) {
+    SCOPED_TRACE(row);
+    request.candidate_budget = 100000;
+    const QueryResponse bounded = index.Search(data.row(row), request);
+    request.candidate_budget = size_t{1} << 63;
+    const QueryResponse huge = index.Search(data.row(row), request);
+    ASSERT_EQ(huge.neighbors.size(), bounded.neighbors.size());
+    for (size_t i = 0; i < huge.neighbors.size(); ++i) {
+      EXPECT_EQ(huge.neighbors[i].id, bounded.neighbors[i].id) << i;
+    }
+    EXPECT_GT(bounded.stats.candidates_verified, request.k);
+    EXPECT_GE(huge.stats.candidates_verified,
+              bounded.stats.candidates_verified);
+  }
+}
+
 TEST(DbLshQueryTest, StatsArePopulated) {
   const FloatMatrix data = EasyData(2000);
   DbLsh index;

@@ -143,12 +143,23 @@ TEST(IndexFactoryTest, MalformedSpecsReturnStatusErrors) {
            "DB-LSH,w0=inf",
            "DB-LSH,early_stop_slack=nan",
            "PM-LSH,c=inf",
+           "DB-LSH,l=99999999999999999999999",  // past 64 bits
+           "E2LSH,l=99999999999999999999999",
        }) {
     SCOPED_TRACE(spec);
     auto made = IndexFactory::Make(spec);
     ASSERT_FALSE(made.ok());
     EXPECT_EQ(made.status().code(), StatusCode::kInvalidArgument);
   }
+
+  // l fits size_t, but the l*k*dim floats of the projection bank do not:
+  // Build refuses it instead of sizing a wrapped allocation.
+  const FloatMatrix data =
+      GenerateClustered({.n = 500, .dim = 16, .clusters = 4, .seed = 6});
+  auto huge = IndexFactory::Make("DB-LSH,l=18446744073709551615");
+  ASSERT_TRUE(huge.ok()) << huge.status().ToString();
+  const Status built = huge.value()->Build(&data);
+  EXPECT_EQ(built.code(), StatusCode::kInvalidArgument) << built.ToString();
 }
 
 TEST(QueryApiTest, SearchFoldsStatsIntoTheResponse) {

@@ -1,7 +1,8 @@
 // Property tests for the R*-tree: for every combination of dimensionality,
 // node capacity and construction mode, the tree must agree exactly with a
-// brute-force scan on random window queries and preserve its structural
-// invariants under mixed insert/remove workloads.
+// brute-force scan on random window queries, stream the same ids in the
+// same order on every SIMD tier, and preserve its structural invariants
+// under mixed insert/remove workloads.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +13,7 @@
 
 #include "dataset/synthetic.h"
 #include "rtree/rtree.h"
+#include "simd/simd.h"
 #include "util/random.h"
 
 namespace dblsh::rtree {
@@ -25,6 +27,9 @@ struct Config {
 
 class RTreePropertyTest : public ::testing::TestWithParam<Config> {
  protected:
+  // A test that pins a SIMD tier leaves auto dispatch behind it.
+  void TearDown() override { simd::UseAutoKernel(); }
+
   static FloatMatrix MakeData(size_t n, size_t dim) {
     return GenerateClustered({.n = n,
                               .dim = dim,
@@ -188,13 +193,64 @@ TEST_P(RTreePropertyTest, CursorAgreesWithBatchQuery) {
   }
 }
 
+TEST_P(RTreePropertyTest, CursorOrderIsTheSameOnEveryTier) {
+  // The cursor tests a node's slots with the active SIMD tier's window
+  // kernel; the ids must come out in the same order, not only as the same
+  // set, whichever tier runs. Half the windows span two indexed points, so
+  // those points and their neighbours lie exactly on the window's faces.
+  const Config& cfg = GetParam();
+  const FloatMatrix points = MakeData(1200, cfg.dim);
+  RTreeOptions options;
+  options.max_entries = cfg.max_entries;
+  RStarTree tree(points.cols(), options);
+  if (cfg.bulk) {
+    ASSERT_TRUE(tree.BulkLoadAll(points).ok());
+  } else {
+    for (uint32_t i = 0; i < points.rows(); ++i) {
+      ASSERT_TRUE(tree.Insert(i, points.row(i)).ok());
+    }
+  }
+  std::vector<simd::KernelKind> tiers = {simd::KernelKind::kScalar};
+  for (const auto kind : {simd::KernelKind::kAvx2, simd::KernelKind::kAvx512}) {
+    if (simd::Supported(kind)) tiers.push_back(kind);
+  }
+  Rng rng(cfg.dim * 53 + cfg.max_entries);
+  size_t yielded = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    const uint32_t a = static_cast<uint32_t>(rng.UniformInt(points.rows()));
+    Rect window = Rect::Window(points.row(a), cfg.dim, rng.Uniform(1.0, 40.0));
+    if (trial % 2 == 1) {
+      const uint32_t b = static_cast<uint32_t>(rng.UniformInt(points.rows()));
+      for (size_t j = 0; j < cfg.dim; ++j) {
+        window.lo(j) = std::min(points.at(a, j), points.at(b, j));
+        window.hi(j) = std::max(points.at(a, j), points.at(b, j));
+      }
+    }
+    std::vector<std::vector<uint32_t>> streams;
+    for (const simd::KernelKind kind : tiers) {
+      ASSERT_TRUE(simd::ForceKernel(kind).ok());
+      std::vector<uint32_t>& ids = streams.emplace_back();
+      RStarTree::WindowCursor cursor(&tree, window);
+      uint32_t id;
+      while (cursor.Next(&id)) ids.push_back(id);
+    }
+    yielded += streams[0].size();
+    for (size_t t = 1; t < tiers.size(); ++t) {
+      EXPECT_EQ(streams[t], streams[0])
+          << simd::KernelName(tiers[t]) << ", window " << trial;
+    }
+  }
+  EXPECT_GT(yielded, 0u);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Sweep, RTreePropertyTest,
     ::testing::Values(Config{2, 8, true}, Config{2, 8, false},
                       Config{2, 32, true}, Config{4, 16, true},
                       Config{4, 16, false}, Config{8, 32, true},
                       Config{8, 32, false}, Config{12, 48, true},
-                      Config{16, 32, true}),
+                      Config{16, 32, true}, Config{20, 100, true},
+                      Config{20, 100, false}),
     [](const auto& info) {
       return "dim" + std::to_string(info.param.dim) + "_cap" +
              std::to_string(info.param.max_entries) +

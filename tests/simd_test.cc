@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -323,6 +325,118 @@ TEST_F(SimdKernelTest, PqAdcBatchMatchesOneToOnePerTier) {
       }
     }
   }
+}
+
+/// A coordinate for the window-kernel test against the bounds [lo, hi]:
+/// an exact tie with either bound, the bound's float neighbour outside, a
+/// zero of either sign, an infinity, NaN, or a plain value below, above or
+/// inside.
+float WindowProbeValue(Rng& rng, float lo, float hi) {
+  const float inf = std::numeric_limits<float>::infinity();
+  switch (rng.UniformInt(16)) {
+    case 0: return lo;
+    case 1: return hi;
+    case 2: return std::nextafter(lo, -inf);
+    case 3: return std::nextafter(hi, inf);
+    case 4: return 0.0f;
+    case 5: return -0.0f;
+    case 6: return rng.UniformInt(2) ? inf : -inf;
+    case 7: return std::numeric_limits<float>::quiet_NaN();
+    case 8:
+    case 9: return lo - static_cast<float>(rng.Uniform(0.01, 3.0));
+    case 10:
+    case 11: return hi + static_cast<float>(rng.Uniform(0.01, 3.0));
+    default: {
+      // NaN or infinite bounds make this NaN: one more NaN case.
+      const auto t = static_cast<float>(rng.NextDouble());
+      return lo + t * (hi - lo);
+    }
+  }
+}
+
+// The R*-tree window kernels return the scalar tier's mask on every tier,
+// for every entry width from 1 to 40 floats (all vector tails, one and
+// several full chunks) and every count from 0 to 64. Each case's entries
+// end exactly at the end of their own allocation, so a vector tail that
+// reads past the last entry is a heap overflow under ASan.
+TEST_F(SimdKernelTest, WindowMasksMatchScalarOnEveryTier) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  std::vector<const simd::DistanceKernels*> tiers;
+  for (const KernelKind kind : SupportedKinds()) {
+    ASSERT_TRUE(simd::ForceKernel(kind).ok());
+    tiers.push_back(&simd::Active());
+  }
+  Rng rng(20261019);
+  size_t point_hits = 0, box_hits = 0;
+  for (size_t dim = 1; dim <= 40; ++dim) {
+    for (size_t n = 0; n <= 64; ++n) {
+      SCOPED_TRACE("dim=" + std::to_string(dim) + " n=" + std::to_string(n));
+      // The window: a proper interval per axis, with now and then a
+      // signed-zero, infinite or NaN bound.
+      const auto lo = std::make_unique<float[]>(dim);
+      const auto hi = std::make_unique<float[]>(dim);
+      for (size_t j = 0; j < dim; ++j) {
+        lo[j] = static_cast<float>(rng.Uniform(-2.0, 0.0));
+        hi[j] = static_cast<float>(rng.Uniform(0.0, 2.0));
+        switch (rng.UniformInt(24)) {
+          case 0: lo[j] = -0.0f; hi[j] = 0.0f; break;
+          case 1: lo[j] = 0.0f; hi[j] = -0.0f; break;
+          case 2: lo[j] = -inf; break;
+          case 3: hi[j] = inf; break;
+          case 4: (rng.UniformInt(2) ? lo[j] : hi[j]) = nan; break;
+          default: break;
+        }
+      }
+      // Half the entries keep every axis inside, so that hits occur at
+      // every width; the rest draw about two axes from the probe values.
+      const auto points = std::make_unique<float[]>(n * dim);
+      const auto boxes = std::make_unique<float[]>(n * 2 * dim);
+      for (size_t s = 0; s < n; ++s) {
+        const bool plain = rng.UniformInt(2) == 0;
+        float* point = points.get() + s * dim;
+        float* box_lo = boxes.get() + s * 2 * dim;
+        float* box_hi = box_lo + dim;
+        for (size_t j = 0; j < dim; ++j) {
+          if (plain || rng.UniformInt(dim) >= 2) {
+            const auto t = static_cast<float>(rng.NextDouble());
+            point[j] = lo[j] + t * (hi[j] - lo[j]);
+            box_lo[j] = point[j] - static_cast<float>(rng.Uniform(0.0, 3.0));
+            box_hi[j] = point[j] + static_cast<float>(rng.Uniform(0.0, 3.0));
+          } else {
+            point[j] = WindowProbeValue(rng, lo[j], hi[j]);
+            // Boxes touching the window (box_hi == lo, box_lo == hi), just
+            // missing it, straddling it, or with special bounds.
+            box_lo[j] = WindowProbeValue(rng, lo[j], hi[j]);
+            box_hi[j] = WindowProbeValue(rng, lo[j], hi[j]);
+          }
+        }
+      }
+      const uint64_t want_points =
+          tiers[0]->points_in_window(lo.get(), hi.get(), points.get(), dim, n);
+      const uint64_t want_boxes = tiers[0]->boxes_meeting_window(
+          lo.get(), hi.get(), boxes.get(), dim, n);
+      point_hits += static_cast<size_t>(std::popcount(want_points));
+      box_hits += static_cast<size_t>(std::popcount(want_boxes));
+      for (size_t t = 1; t < tiers.size(); ++t) {
+        EXPECT_EQ(tiers[t]->points_in_window(lo.get(), hi.get(), points.get(),
+                                             dim, n),
+                  want_points)
+            << tiers[t]->name;
+        EXPECT_EQ(tiers[t]->boxes_meeting_window(lo.get(), hi.get(),
+                                                 boxes.get(), dim, n),
+                  want_boxes)
+            << tiers[t]->name;
+      }
+    }
+  }
+  // Both outcomes are common: over an eighth of the entries hit, and over
+  // an eighth miss.
+  const size_t entries = 40 * (64 * 65 / 2);
+  EXPECT_GT(point_hits, entries / 8);
+  EXPECT_LT(point_hits, entries - entries / 8);
+  EXPECT_GT(box_hits, entries / 8);
+  EXPECT_LT(box_hits, entries - entries / 8);
 }
 
 TEST_F(SimdKernelTest, ForceKernelRejectsUnavailableTiers) {
