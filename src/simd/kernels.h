@@ -155,14 +155,6 @@ float PqAdcAvx512(const float* lut, const uint8_t* code, size_t m);
 /// own sums, so per-row results stay bit-identical to ScalarPqAdc.
 void PqAdcBatchAvx512(const float* lut, const uint8_t* codes, size_t m,
                       const uint32_t* ids, size_t n, float* out);
-/// Window mask over up to 64 points (see DistanceKernels), 16 axes per
-/// compare; the last chunk is a masked load.
-uint64_t PointsInWindowAvx512(const float* lo, const float* hi,
-                              const float* points, size_t dim, size_t n);
-/// Window mask over up to 64 boxes (see DistanceKernels), 16 axes per
-/// compare; the last chunk is a masked load.
-uint64_t BoxesMeetingWindowAvx512(const float* lo, const float* hi,
-                                  const float* boxes, size_t dim, size_t n);
 #endif
 
 }  // namespace internal

@@ -243,60 +243,6 @@ void PqAdcBatchAvx512(const float* lut, const uint8_t* codes, size_t m,
   }
 }
 
-// The window kernels: see l2_avx2.cc for the compare scheme. Here the
-// compares write k-masks, and the masked tail zero-fills lanes past `dim`
-// on both sides, so they are never out.
-
-uint64_t PointsInWindowAvx512(const float* lo, const float* hi,
-                              const float* points, size_t dim, size_t n) {
-  const size_t full = dim & ~size_t{15};
-  const auto tail = static_cast<__mmask16>((1u << (dim - full)) - 1u);
-  const __m512 lo_tail = _mm512_maskz_loadu_ps(tail, lo + full);
-  const __m512 hi_tail = _mm512_maskz_loadu_ps(tail, hi + full);
-  uint64_t hits = 0;
-  for (size_t s = 0; s < n; ++s, points += dim) {
-    __mmask16 out = 0;
-    for (size_t j = 0; j < full; j += 16) {
-      const __m512 p = _mm512_loadu_ps(points + j);
-      out |= _mm512_cmp_ps_mask(p, _mm512_loadu_ps(lo + j), _CMP_LT_OQ) |
-             _mm512_cmp_ps_mask(p, _mm512_loadu_ps(hi + j), _CMP_GT_OQ);
-    }
-    const __m512 p = _mm512_maskz_loadu_ps(tail, points + full);
-    out |= _mm512_cmp_ps_mask(p, lo_tail, _CMP_LT_OQ) |
-           _mm512_cmp_ps_mask(p, hi_tail, _CMP_GT_OQ);
-    hits |= static_cast<uint64_t>(out == 0) << s;
-  }
-  return hits;
-}
-
-uint64_t BoxesMeetingWindowAvx512(const float* lo, const float* hi,
-                                  const float* boxes, size_t dim, size_t n) {
-  const size_t full = dim & ~size_t{15};
-  const auto tail = static_cast<__mmask16>((1u << (dim - full)) - 1u);
-  const __m512 lo_tail = _mm512_maskz_loadu_ps(tail, lo + full);
-  const __m512 hi_tail = _mm512_maskz_loadu_ps(tail, hi + full);
-  uint64_t hits = 0;
-  for (size_t s = 0; s < n; ++s, boxes += 2 * dim) {
-    const float* box_lo = boxes;
-    const float* box_hi = boxes + dim;
-    __mmask16 out = 0;
-    for (size_t j = 0; j < full; j += 16) {
-      out |= _mm512_cmp_ps_mask(_mm512_loadu_ps(lo + j),
-                                _mm512_loadu_ps(box_hi + j), _CMP_GT_OQ) |
-             _mm512_cmp_ps_mask(_mm512_loadu_ps(hi + j),
-                                _mm512_loadu_ps(box_lo + j), _CMP_LT_OQ);
-    }
-    out |= _mm512_cmp_ps_mask(
-               lo_tail, _mm512_maskz_loadu_ps(tail, box_hi + full),
-               _CMP_GT_OQ) |
-           _mm512_cmp_ps_mask(
-               hi_tail, _mm512_maskz_loadu_ps(tail, box_lo + full),
-               _CMP_LT_OQ);
-    hits |= static_cast<uint64_t>(out == 0) << s;
-  }
-  return hits;
-}
-
 }  // namespace internal
 }  // namespace simd
 }  // namespace dblsh
