@@ -5,6 +5,7 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/index_factory.h"
 #include "dataset/ground_truth.h"
@@ -61,12 +62,16 @@ Status DbLsh::Build(const FloatMatrix* data) {
   // Paper defaults (Sec. VI-A).
   if (params_.w0 <= 0.0) params_.w0 = 4.0 * params_.c * params_.c;
   if (params_.k == 0) params_.k = (n > 1000000) ? 12 : 10;
-  // The projection bank holds l*k directions of dim floats each.
+  // The projection bank holds l*k directions of dim floats each, in one
+  // vector. A count past its max_size (which also keeps 2*l below
+  // SIZE_MAX for the default t) is refused rather than wrapped or thrown.
   size_t bank_floats = 0;
   if (__builtin_mul_overflow(params_.l, params_.k, &bank_floats) ||
-      __builtin_mul_overflow(bank_floats, data->cols(), &bank_floats)) {
+      __builtin_mul_overflow(bank_floats, data->cols(), &bank_floats) ||
+      bank_floats > std::vector<float>().max_size()) {
     return Status::InvalidArgument(
-        "l * k * dim overflows size_t (l=" + std::to_string(params_.l) +
+        "l * k * dim exceeds the largest projection bank (l=" +
+        std::to_string(params_.l) +
         ", k=" + std::to_string(params_.k) +
         ", dim=" + std::to_string(data->cols()) + ")");
   }

@@ -4,6 +4,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <utility>
 
 #include "core/db_lsh.h"
 #include "core/index_factory.h"
@@ -152,14 +153,22 @@ TEST(IndexFactoryTest, MalformedSpecsReturnStatusErrors) {
     EXPECT_EQ(made.status().code(), StatusCode::kInvalidArgument);
   }
 
-  // l fits size_t, but the l*k*dim floats of the projection bank do not:
-  // Build refuses it instead of sizing a wrapped allocation.
+  // l fits size_t, but the l*k*dim floats of the projection bank do not,
+  // or (2^63 on one column) exceed what one vector can hold and make 2*l
+  // wrap: Build refuses both instead of sizing a wrapped allocation.
   const FloatMatrix data =
       GenerateClustered({.n = 500, .dim = 16, .clusters = 4, .seed = 6});
-  auto huge = IndexFactory::Make("DB-LSH,l=18446744073709551615");
-  ASSERT_TRUE(huge.ok()) << huge.status().ToString();
-  const Status built = huge.value()->Build(&data);
-  EXPECT_EQ(built.code(), StatusCode::kInvalidArgument) << built.ToString();
+  const FloatMatrix column =
+      GenerateClustered({.n = 500, .dim = 1, .clusters = 4, .seed = 6});
+  for (const auto& [spec, rows] :
+       {std::pair{"DB-LSH,l=18446744073709551615", &data},
+        std::pair{"DB-LSH,l=9223372036854775808,k=1", &column}}) {
+    SCOPED_TRACE(spec);
+    auto huge = IndexFactory::Make(spec);
+    ASSERT_TRUE(huge.ok()) << huge.status().ToString();
+    const Status built = huge.value()->Build(rows);
+    EXPECT_EQ(built.code(), StatusCode::kInvalidArgument) << built.ToString();
+  }
 }
 
 TEST(QueryApiTest, SearchFoldsStatsIntoTheResponse) {
