@@ -1,7 +1,7 @@
 // Micro-benchmarks for the R*-tree substrate (google-benchmark): STR bulk
 // loading vs insertion throughput, window queries, and cursor streaming
 // (a few candidates per window, and whole windows drained at DB-LSH's
-// end-to-end scale). Window queries and drains run once per SIMD tier.
+// end-to-end scale). Window queries and cursors run once per SIMD tier.
 // These quantify the "efficient window queries via multi-dimensional
 // indexes" claim underlying DB-LSH's dynamic bucketing overhead argument.
 #include <benchmark/benchmark.h>
@@ -53,9 +53,9 @@ void BM_InsertBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_InsertBuild)->Arg(1000)->Arg(10000);
 
-// The window queries below take the SIMD tier (a simd::KernelKind: 0
-// scalar, 1 avx2, 2 avx512) as their last argument: the cursor tests each
-// node with that tier's window kernel.
+// The window queries and cursors below take the SIMD tier (a
+// simd::KernelKind: 0 scalar, 1 avx2, 2 avx512) as their last argument:
+// the cursor tests each node with that tier's window kernel.
 const std::vector<int64_t> kTiers = {0, 1, 2};
 
 /// Pins the tier in argument `arg` for the run; false, with the run
@@ -97,6 +97,7 @@ void BM_CursorFirstTen(benchmark::State& state) {
   RStarTree tree(points.cols());
   (void)tree.BulkLoadAll(points);
   Rng rng(93);
+  if (!PinTier(state, 0)) return;
   for (auto _ : state) {
     const uint32_t anchor = static_cast<uint32_t>(rng.UniformInt(50000));
     RStarTree::WindowCursor cursor(
@@ -106,8 +107,9 @@ void BM_CursorFirstTen(benchmark::State& state) {
     while (taken < 10 && cursor.Next(&id)) ++taken;
     benchmark::DoNotOptimize(taken);
   }
+  simd::UseAutoKernel();
 }
-BENCHMARK(BM_CursorFirstTen);
+BENCHMARK(BM_CursorFirstTen)->ArgsProduct({kTiers})->ArgNames({"tier"});
 
 // One DB-LSH projected space at the end-to-end benchmark's scale: the
 // 100k x 128 SIFT10M stand-in (64 clusters, spread 30, stddev 2) projected
