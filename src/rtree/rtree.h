@@ -104,13 +104,13 @@ class RStarTree {
   size_t CheckInvariants() const;
 
   /// Streaming window query: yields matching ids one at a time so callers
-  /// (DB-LSH's Algorithm 1) can stop after a candidate budget without paying
-  /// for the rest of the window. When it reaches a node, the cursor tests
-  /// the node's slots against the window in one call of the active SIMD
-  /// tier's window kernel (64 slots at a time), then yields the hits of a
-  /// leaf, or descends into the hit children of an inner node, in slot
-  /// order, depth first: the same ids in the same order on every tier. The
-  /// tier is read once, when the cursor opens. The tree must not change
+  /// (DB-LSH's Algorithm 1) can stop after a candidate budget without
+  /// visiting the nodes not yet reached. When it reaches a node, the
+  /// cursor tests the node's slots against the window in one call of the
+  /// active SIMD tier's window kernel (64 slots at a time), then yields the
+  /// hits of a leaf, or descends into the hit children of an inner node, in
+  /// slot order, depth first: the same ids in the same order on every tier.
+  /// The tier is read once, when the cursor opens. The tree must not change
   /// while a cursor is open.
   class WindowCursor {
    public:
