@@ -71,8 +71,7 @@ Status DbLsh::Build(const FloatMatrix* data) {
       bank_floats > std::vector<float>().max_size()) {
     return Status::InvalidArgument(
         "l * k * dim exceeds the largest projection bank (l=" +
-        std::to_string(params_.l) +
-        ", k=" + std::to_string(params_.k) +
+        std::to_string(params_.l) + ", k=" + std::to_string(params_.k) +
         ", dim=" + std::to_string(data->cols()) + ")");
   }
   if (params_.t == 0) {
