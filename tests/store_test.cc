@@ -942,6 +942,101 @@ TEST(StorePersistenceTest, OnDiskLayoutsMatchTheDocumentedFormat) {
   }
 }
 
+// ------------------------------------------------------- Store lifecycle --
+
+// FNV-1a of a store's whole image: the header fields, then Encode()
+// (params ‖ payload ‖ free list).
+uint64_t ImageDigest(const VectorStore& store) {
+  const StoreHeader h = store.header();
+  std::vector<uint8_t> bytes;
+  Put<uint64_t>(&bytes, h.rows);
+  Put<uint64_t>(&bytes, h.dim);
+  Put<uint8_t>(&bytes, h.trained ? 1 : 0);
+  Put<uint64_t>(&bytes, h.free_count);
+  store.Encode(&bytes);
+  return Fnv1a(bytes);
+}
+
+// One fixed script over a quantized store of `kind` (pq: m = 5 over 12
+// dims, a ragged split), one digest per step: the seeded store; an
+// empty-seeded store before its first insert, after it and after three
+// more and a retrain; the seeded store after drifting inserts, after
+// erases and recycled inserts, after RetrainQuantizer (with its result)
+// and after TrimTombstonedTail (with its count); its DecodedCopy rows and
+// free list; and a Reencode of the seed rows under the final params. Seed
+// rows 10 and 299 are outliers that the script erases before retraining,
+// so the retrain narrows sq8's range (decoded rows never leave it).
+std::vector<uint64_t> LifecycleDigests(StorageKind kind) {
+  const size_t dim = 12, m = 5;
+  FloatMatrix seed = RandomMatrix(300, dim, 101, /*span=*/1.0);
+  for (const size_t r : {10u, 299u}) {
+    for (size_t j = 0; j < dim; ++j) seed.at(r, j) *= 20.f;
+  }
+  const FloatMatrix drift = RandomMatrix(64, dim, 103, /*span=*/5.0);
+  std::vector<uint64_t> out;
+
+  auto store = MakeVectorStore(kind, std::make_unique<FloatMatrix>(seed), m);
+  out.push_back(ImageDigest(*store));
+
+  auto empty =
+      MakeVectorStore(kind, std::make_unique<FloatMatrix>(0, dim), m);
+  out.push_back(ImageDigest(*empty));
+  empty->InsertRow(drift.row(0), dim);
+  out.push_back(ImageDigest(*empty));
+  for (size_t i = 1; i < 4; ++i) empty->InsertRow(drift.row(i), dim);
+  out.push_back(empty->RetrainQuantizer());
+  out.push_back(ImageDigest(*empty));
+
+  for (size_t i = 0; i < drift.rows(); ++i) {
+    store->InsertRow(drift.row(i), dim);
+  }
+  out.push_back(ImageDigest(*store));
+  for (const size_t id : {10u, 299u, 5u, 330u}) {
+    EXPECT_TRUE(store->EraseRow(id).ok()) << id;
+  }
+  store->InsertRow(seed.row(7), dim);   // recycles 330
+  store->InsertRow(drift.row(9), dim);  // recycles 5
+  out.push_back(ImageDigest(*store));
+  out.push_back(store->RetrainQuantizer());
+  out.push_back(ImageDigest(*store));
+  for (const size_t id : {362u, 363u, 361u}) {
+    EXPECT_TRUE(store->EraseRow(id).ok()) << id;
+  }
+  out.push_back(store->TrimTombstonedTail());
+  out.push_back(ImageDigest(*store));
+
+  const FloatMatrix copy = store->DecodedCopy();
+  out.push_back(util::Fnv1a64(util::BytesOf(copy.data())));
+  out.push_back(util::Fnv1a64(util::BytesOf(copy.free_slots())));
+  out.push_back(
+      ImageDigest(*store->Reencode(std::make_unique<FloatMatrix>(seed))));
+  return out;
+}
+
+// The bytes every quantized-store step writes, pinned: a snapshot, a
+// kRetrain WAL record or a replicated image written by one build must be
+// reproduced byte for byte by the next. The round-trip and determinism
+// tests compare a build with itself and cannot see a change that moves
+// both of their runs alike; these constants can. Never edit them to make
+// a change pass.
+TEST(StoreLifecycleTest, Sq8) {
+  const std::vector<uint64_t> expected = {
+      0x63f171d749d43f9bull, 0x691eff2eb1314afdull, 0x8c5eade74cb1a368ull, 1,
+      0xbd960f968ca8624aull, 0x15bef495b85a634bull, 0x96d84d2188118e1cull, 1,
+      0x6af85205dd96524bull, 3, 0xfee6b8b3dd34de27ull, 0x8389e448c845bb4bull,
+      0xaa02ff856151777dull, 0x473f7621e698dcc6ull};
+  EXPECT_EQ(LifecycleDigests(StorageKind::kSq8), expected);
+}
+
+TEST(StoreLifecycleTest, Pq) {
+  const std::vector<uint64_t> expected = {
+      0xfa4180f9ec936717ull, 0x8a99fe9a04e989d8ull, 0xd66a703d96eb6448ull, 1,
+      0x18e51dc76402e21bull, 0x2d51087bdbc0da3aull, 0xf4a1d3c1346aadecull, 1,
+      0xacdfe170f696867aull, 3, 0x70f6522cf47282ccull, 0x669d9305a0372847ull,
+      0xaa02ff856151777dull, 0x4ad95daff7e5d6c7ull};
+  EXPECT_EQ(LifecycleDigests(StorageKind::kPq), expected);
+}
+
 // The recall contract of quantized storage, isolated from any index's
 // candidate generation: a LinearScan collection under storage=sq8 scans
 // every row asymmetrically and exact-re-ranks the top k*4 — recall
