@@ -162,13 +162,12 @@ class DbLsh : public AnnIndex {
 
  private:
   /// Shared tail of the Load() overloads: parameters, projections,
-  /// projected spaces, tombstone replay (through `store` when non-null so
-  /// quantized backends stay in sync, else through `data`) and tree
+  /// projected spaces, tombstone replay into `data` (a store's matrix
+  /// holds its tombstones, so this keeps any store in sync) and tree
   /// rebuild. `in` is positioned just past the store params.
   static Result<DbLsh> LoadIndexBody(util::PodReader* in,
                                      const std::string& path, uint64_t n,
-                                     uint64_t dim, FloatMatrix* data,
-                                     VectorStore* store);
+                                     uint64_t dim, FloatMatrix* data);
 
   /// Replaces trees_ with one STR bulk-loaded R*-tree per projected space
   /// (`spaces[i]` is row-per-id, K wide) over the live rows of data_, in id

@@ -213,8 +213,7 @@ Status DbLsh::Save(const std::string& path) const {
 
 Result<DbLsh> DbLsh::LoadIndexBody(util::PodReader* in,
                                    const std::string& path, uint64_t n,
-                                   uint64_t dim, FloatMatrix* data,
-                                   VectorStore* store) {
+                                   uint64_t dim, FloatMatrix* data) {
   DbLshParams params;
   uint64_t k = 0, l = 0, t = 0, seed = 0;
   uint8_t bucketing = 0, backend = 0;
@@ -287,10 +286,7 @@ Result<DbLsh> DbLsh::LoadIndexBody(util::PodReader* in,
   // order as it would have before the save).
   for (uint32_t id : tombstones) {
     if (id >= n) return Status::Corruption(path + ": tombstone id range");
-    if (!data->IsDeleted(id)) {
-      DBLSH_RETURN_IF_ERROR(store != nullptr ? store->EraseRow(id)
-                                             : data->EraseRow(id));
-    }
+    if (!data->IsDeleted(id)) DBLSH_RETURN_IF_ERROR(data->EraseRow(id));
   }
   DBLSH_RETURN_IF_ERROR(index.BulkLoadTrees(std::move(spaces)));
   return index;
@@ -311,7 +307,7 @@ Result<DbLsh> DbLsh::Load(const std::string& path, FloatMatrix* data) {
   }
   DBLSH_RETURN_IF_ERROR(CheckShape(path, file, *data));
   DBLSH_RETURN_IF_ERROR(CheckPayload(path, file, util::BytesOf(data->data())));
-  return LoadIndexBody(&file.in, path, file.n, file.dim, data, nullptr);
+  return LoadIndexBody(&file.in, path, file.n, file.dim, data);
 }
 
 Result<std::unique_ptr<VectorStore>> DbLsh::LoadStore(
@@ -352,8 +348,7 @@ Result<DbLsh> DbLsh::Load(const std::string& path, VectorStore* store) {
                "(different training data or a mutated store)");
   }
   DBLSH_RETURN_IF_ERROR(CheckPayload(path, file, store->payload()));
-  return LoadIndexBody(&file.in, path, file.n, file.dim, &store->matrix(),
-                       store);
+  return LoadIndexBody(&file.in, path, file.n, file.dim, &store->matrix());
 }
 
 }  // namespace dblsh

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <numeric>
 #include <utility>
 
 #include "simd/simd.h"
@@ -14,7 +15,7 @@ namespace {
 
 /// Tombstone bookkeeping bytes a matrix carries (approximate: the lazy
 /// deleted_ bitmap is one byte per row once any tombstone exists, the
-/// free-list four bytes per entry). Shared by both backends' stats.
+/// free-list four bytes per entry). Shared by every backend's stats.
 size_t MatrixBookkeepingBytes(const FloatMatrix& m) {
   return (m.has_tombstones() ? m.rows() * sizeof(uint8_t) : 0) +
          m.free_slots().size() * sizeof(uint32_t);
@@ -89,8 +90,6 @@ uint32_t Fp32Store::InsertRow(const float* values, size_t len) {
   return matrix_->InsertRow(values, len);
 }
 
-Status Fp32Store::EraseRow(size_t id) { return matrix_->EraseRow(id); }
-
 size_t Fp32Store::TrimTombstonedTail() {
   return matrix_->TrimTombstonedTail();
 }
@@ -136,60 +135,167 @@ std::unique_ptr<VectorStore> Fp32Store::Reencode(
   return std::make_unique<Fp32Store>(std::move(rows));
 }
 
-// ----------------------------------------------------------------- sq8 ----
+// ----------------------------------------------------------- quantized ----
 
-Sq8Store::Sq8Store(std::unique_ptr<FloatMatrix> seed)
-    : VectorStore(std::move(seed)) {
-  const size_t dim = matrix_->cols();
-  scale_.assign(dim, 1.0f);
-  offset_.assign(dim, 0.0f);
+QuantizedStore::QuantizedStore(std::unique_ptr<FloatMatrix>&& matrix,
+                               size_t code_width, bool trained)
+    : VectorStore(std::move(matrix)),
+      code_width_(code_width),
+      trained_(trained) {}
+
+QuantizedStore::QuantizedStore(std::unique_ptr<FloatMatrix> shell,
+                               size_t code_width, std::vector<uint8_t> codes,
+                               bool trained)
+    : VectorStore(std::move(shell)),
+      codes_(std::move(codes)),
+      code_width_(code_width),
+      trained_(trained) {
+  assert(matrix_->payload_released());
+  assert(codes_.size() == matrix_->rows() * code_width_);
+}
+
+void QuantizedStore::Seed() {
   if (matrix_->rows() > 0) {
-    Train(*matrix_);
-    codes_.resize(matrix_->rows() * dim);
-    for (size_t r = 0; r < matrix_->rows(); ++r) {
-      EncodeRow(matrix_->row(r), static_cast<uint32_t>(r));
-    }
+    std::vector<uint32_t> ids(matrix_->rows());
+    std::iota(ids.begin(), ids.end(), 0u);
+    Train(*matrix_, ids);
+    trained_ = true;
+  }
+  EncodeAndRelease();
+}
+
+void QuantizedStore::EncodeAndRelease() {
+  codes_.resize(matrix_->rows() * code_width_);
+  for (size_t r = 0; r < matrix_->rows(); ++r) {
+    EncodeRow(matrix_->row(r), codes_.data() + r * code_width_);
   }
   matrix_->ReleasePayload();
 }
 
+size_t QuantizedStore::resident_bytes() const {
+  return codes_.capacity() * sizeof(uint8_t) +
+         matrix_->data().capacity() * sizeof(float) +  // 0 unless view held
+         MatrixBookkeepingBytes(*matrix_);
+}
+
+uint32_t QuantizedStore::InsertRow(const float* values, size_t len) {
+  assert(len == matrix_->cols());
+  if (!trained_) {
+    Train(FloatMatrix(1, len, std::vector<float>(values, values + len)), {0});
+    trained_ = true;
+  }
+  const uint32_t id = matrix_->InsertRow(values, len);
+  const size_t needed = (static_cast<size_t>(id) + 1) * code_width_;
+  if (codes_.size() < needed) codes_.resize(needed);
+  EncodeRow(values, codes_.data() + static_cast<size_t>(id) * code_width_);
+  return id;
+}
+
+size_t QuantizedStore::TrimTombstonedTail() {
+  const size_t trimmed = matrix_->TrimTombstonedTail();
+  if (trimmed > 0) {
+    codes_.resize(matrix_->rows() * code_width_);
+    codes_.shrink_to_fit();
+  }
+  return trimmed;
+}
+
+std::vector<float> QuantizedStore::DecodeAll() const {
+  const size_t dim = matrix_->cols();
+  std::vector<float> decoded(matrix_->rows() * dim);
+  for (size_t r = 0; r < matrix_->rows(); ++r) {
+    DecodeRow(static_cast<uint32_t>(r), decoded.data() + r * dim);
+  }
+  return decoded;
+}
+
+bool QuantizedStore::RetrainQuantizer() {
+  const size_t dim = matrix_->cols();
+  const size_t rows = matrix_->rows();
+  if (!trained_ || dim == 0 || rows == 0) return false;
+
+  // Decode every physical row with the *current* params first: the new
+  // params and codes must be a pure function of the old codes so WAL
+  // replay and replication reproduce them byte-identically.
+  const FloatMatrix decoded(rows, dim, DecodeAll());
+
+  // Train on live rows only — tombstoned slots no longer pull the params
+  // toward stale data.
+  std::vector<uint32_t> live;
+  live.reserve(matrix_->live_rows());
+  for (size_t r = 0; r < rows; ++r) {
+    if (!matrix_->IsDeleted(r)) live.push_back(static_cast<uint32_t>(r));
+  }
+  if (live.empty()) return false;
+  Train(decoded, live);
+
+  // Re-encode every physical row (tombstoned included) so the whole code
+  // array stays a deterministic function of its prior state.
+  for (size_t r = 0; r < rows; ++r) {
+    EncodeRow(decoded.row(r), codes_.data() + r * code_width_);
+  }
+  return true;
+}
+
+void QuantizedStore::MaterializeDecodeView() {
+  matrix_->SetPayload(DecodeAll());
+}
+
+void QuantizedStore::ReleaseDecodeView() { matrix_->ReleasePayload(); }
+
+FloatMatrix QuantizedStore::DecodedCopy() const {
+  FloatMatrix out(matrix_->rows(), matrix_->cols(), DecodeAll());
+  // Replay tombstones in erasure order so the copy's LIFO free-list
+  // recycles exactly like the live store would.
+  for (const uint32_t slot : matrix_->free_slots()) {
+    Status erased = out.EraseRow(slot);
+    assert(erased.ok());
+    (void)erased;
+  }
+  return out;
+}
+
+std::span<const uint8_t> QuantizedStore::payload() const {
+  return util::BytesOf(codes_);
+}
+
+// ----------------------------------------------------------------- sq8 ----
+
+Sq8Store::Sq8Store(std::unique_ptr<FloatMatrix> seed)
+    : QuantizedStore(std::move(seed), seed->cols(), /*trained=*/false),
+      scale_(matrix_->cols(), 1.0f),
+      offset_(matrix_->cols(), 0.0f) {
+  Seed();
+}
+
 Sq8Store::Sq8Store(std::unique_ptr<FloatMatrix> data,
                    std::vector<float> scale, std::vector<float> offset)
-    : VectorStore(std::move(data)),
+    : QuantizedStore(std::move(data), scale.size(), /*trained=*/true),
       scale_(std::move(scale)),
       offset_(std::move(offset)) {
-  const size_t dim = matrix_->cols();
-  assert(scale_.size() == dim && offset_.size() == dim);
-  trained_ = true;
-  codes_.resize(matrix_->rows() * dim);
-  for (size_t r = 0; r < matrix_->rows(); ++r) {
-    EncodeRow(matrix_->row(r), static_cast<uint32_t>(r));
-  }
-  matrix_->ReleasePayload();
+  assert(scale_.size() == matrix_->cols() &&
+         offset_.size() == matrix_->cols());
+  EncodeAndRelease();
 }
 
 Sq8Store::Sq8Store(std::unique_ptr<FloatMatrix> shell,
                    std::vector<float> scale, std::vector<float> offset,
                    std::vector<uint8_t> codes, bool trained)
-    : VectorStore(std::move(shell)),
-      codes_(std::move(codes)),
+    : QuantizedStore(std::move(shell), scale.size(), std::move(codes),
+                     trained),
       scale_(std::move(scale)),
-      offset_(std::move(offset)),
-      trained_(trained) {
-  assert(matrix_->payload_released());
+      offset_(std::move(offset)) {
   assert(scale_.size() == matrix_->cols() &&
          offset_.size() == matrix_->cols());
-  assert(codes_.size() == matrix_->rows() * matrix_->cols());
 }
 
-void Sq8Store::Train(const FloatMatrix& m) {
-  const size_t dim = m.cols();
+void Sq8Store::Train(const FloatMatrix& rows,
+                     const std::vector<uint32_t>& ids) {
+  const size_t dim = rows.cols();
   std::vector<float> lo(dim, std::numeric_limits<float>::max());
   std::vector<float> hi(dim, std::numeric_limits<float>::lowest());
-  // Min/max over every physical row — tombstoned slots included, so the
-  // parameters do not depend on erasure timing.
-  for (size_t r = 0; r < m.rows(); ++r) {
-    const float* row = m.row(r);
+  for (const uint32_t r : ids) {
+    const float* row = rows.row(r);
     for (size_t d = 0; d < dim; ++d) {
       lo[d] = std::min(lo[d], row[d]);
       hi[d] = std::max(hi[d], row[d]);
@@ -200,114 +306,31 @@ void Sq8Store::Train(const FloatMatrix& m) {
     const float range = hi[d] - lo[d];
     scale_[d] = range > 0.0f ? range / 255.0f : 1.0f;
   }
-  trained_ = true;
 }
 
-void Sq8Store::EncodeRow(const float* values, uint32_t id) {
-  const size_t dim = matrix_->cols();
-  uint8_t* out = codes_.data() + static_cast<size_t>(id) * dim;
-  for (size_t d = 0; d < dim; ++d) {
+void Sq8Store::EncodeRow(const float* values, uint8_t* out) const {
+  for (size_t d = 0; d < scale_.size(); ++d) {
     const float level = (values[d] - offset_[d]) / scale_[d];
     const float clamped = std::min(255.0f, std::max(0.0f, level));
     out[d] = static_cast<uint8_t>(std::lround(clamped));
   }
 }
 
-size_t Sq8Store::bytes_per_vector() const { return matrix_->cols(); }
-
 size_t Sq8Store::resident_bytes() const {
-  return codes_.capacity() * sizeof(uint8_t) +
-         (scale_.capacity() + offset_.capacity()) * sizeof(float) +
-         matrix_->data().capacity() * sizeof(float) +  // 0 unless view held
-         MatrixBookkeepingBytes(*matrix_);
-}
-
-uint32_t Sq8Store::InsertRow(const float* values, size_t len) {
-  const size_t dim = matrix_->cols() > 0 ? matrix_->cols() : len;
-  if (!trained_) {
-    // Empty-seeded store: degenerate single-point training on the first
-    // vector (scale 1.0, offset at the vector) — documented limitation.
-    scale_.assign(dim, 1.0f);
-    offset_.assign(values, values + len);
-    trained_ = true;
-  }
-  const uint32_t id = matrix_->InsertRow(values, len);
-  const size_t needed = (static_cast<size_t>(id) + 1) * dim;
-  if (codes_.size() < needed) codes_.resize(needed);
-  EncodeRow(values, id);
-  return id;
-}
-
-Status Sq8Store::EraseRow(size_t id) {
-  // Codes stay in place, exactly like the fp32 bytes under a tombstone —
-  // the verification path filters the id out, and InsertRow re-encodes
-  // over the slot on recycle.
-  return matrix_->EraseRow(id);
-}
-
-size_t Sq8Store::TrimTombstonedTail() {
-  const size_t trimmed = matrix_->TrimTombstonedTail();
-  if (trimmed > 0) {
-    codes_.resize(matrix_->rows() * matrix_->cols());
-    codes_.shrink_to_fit();
-  }
-  return trimmed;
-}
-
-bool Sq8Store::RetrainQuantizer() {
-  const size_t dim = matrix_->cols();
-  const size_t rows = matrix_->rows();
-  if (!trained_ || dim == 0 || rows == 0) return false;
-
-  // Decode every physical row with the *current* params first: the new
-  // codes must be a pure function of the old codes so replay/replication
-  // reproduce them exactly.
-  std::vector<float> decoded(rows * dim);
-  for (size_t r = 0; r < rows; ++r) {
-    DecodeRow(static_cast<uint32_t>(r), decoded.data() + r * dim);
-  }
-
-  // New range from live rows only — tombstoned slots no longer widen it.
-  std::vector<float> lo(dim, std::numeric_limits<float>::max());
-  std::vector<float> hi(dim, std::numeric_limits<float>::lowest());
-  bool any_live = false;
-  for (size_t r = 0; r < rows; ++r) {
-    if (matrix_->IsDeleted(r)) continue;
-    any_live = true;
-    const float* row = decoded.data() + r * dim;
-    for (size_t d = 0; d < dim; ++d) {
-      lo[d] = std::min(lo[d], row[d]);
-      hi[d] = std::max(hi[d], row[d]);
-    }
-  }
-  if (!any_live) return false;
-  for (size_t d = 0; d < dim; ++d) {
-    offset_[d] = lo[d];
-    const float range = hi[d] - lo[d];
-    scale_[d] = range > 0.0f ? range / 255.0f : 1.0f;
-  }
-
-  // Re-encode every physical row (tombstoned included) so the whole code
-  // array stays a deterministic function of its prior state.
-  for (size_t r = 0; r < rows; ++r) {
-    EncodeRow(decoded.data() + r * dim, static_cast<uint32_t>(r));
-  }
-  return true;
+  return QuantizedStore::resident_bytes() +
+         (scale_.capacity() + offset_.capacity()) * sizeof(float);
 }
 
 void Sq8Store::DecodeRow(uint32_t id, float* out) const {
-  const size_t dim = matrix_->cols();
-  const uint8_t* code = codes_.data() + static_cast<size_t>(id) * dim;
-  for (size_t d = 0; d < dim; ++d) {
-    out[d] = offset_[d] + scale_[d] * static_cast<float>(code[d]);
+  const uint8_t* row = code(id);
+  for (size_t d = 0; d < scale_.size(); ++d) {
+    out[d] = offset_[d] + scale_[d] * static_cast<float>(row[d]);
   }
 }
 
 float Sq8Store::ExactL2Squared(const float* query, uint32_t id) const {
-  const size_t dim = matrix_->cols();
-  return simd::Active().sq8_l2_asym(
-      query, offset_.data(), scale_.data(),
-      codes_.data() + static_cast<size_t>(id) * dim, dim);
+  return simd::Active().sq8_l2_asym(query, offset_.data(), scale_.data(),
+                                    code(id), matrix_->cols());
 }
 
 void Sq8Store::PrepareQuery(const float* query,
@@ -331,50 +354,17 @@ void Sq8Store::ScoreBatch(const float* prep, size_t start,
                           const uint32_t* ids, size_t n, float* out) const {
   const size_t dim = matrix_->cols();
   if (ids != nullptr) {
-    simd::Active().sq8_score_batch(prep, scale_.data(), codes_.data(), dim,
-                                   ids, n, out);
+    simd::Active().sq8_score_batch(prep, scale_.data(), code(0), dim, ids, n,
+                                   out);
   } else {
-    simd::Active().sq8_score_batch(prep, scale_.data(),
-                                   codes_.data() + start * dim, dim, nullptr,
-                                   n, out);
+    simd::Active().sq8_score_batch(prep, scale_.data(), code(start), dim,
+                                   nullptr, n, out);
   }
-}
-
-void Sq8Store::MaterializeDecodeView() {
-  const size_t dim = matrix_->cols();
-  std::vector<float> decoded(matrix_->rows() * dim);
-  for (size_t r = 0; r < matrix_->rows(); ++r) {
-    DecodeRow(static_cast<uint32_t>(r), decoded.data() + r * dim);
-  }
-  matrix_->SetPayload(std::move(decoded));
-}
-
-void Sq8Store::ReleaseDecodeView() { matrix_->ReleasePayload(); }
-
-FloatMatrix Sq8Store::DecodedCopy() const {
-  const size_t dim = matrix_->cols();
-  std::vector<float> decoded(matrix_->rows() * dim);
-  for (size_t r = 0; r < matrix_->rows(); ++r) {
-    DecodeRow(static_cast<uint32_t>(r), decoded.data() + r * dim);
-  }
-  FloatMatrix out(matrix_->rows(), dim, std::move(decoded));
-  // Replay tombstones in erasure order so the copy's LIFO free-list
-  // recycles exactly like the live store would.
-  for (const uint32_t slot : matrix_->free_slots()) {
-    Status erased = out.EraseRow(slot);
-    assert(erased.ok());
-    (void)erased;
-  }
-  return out;
 }
 
 void Sq8Store::EncodeParams(std::vector<uint8_t>* out) const {
   util::AppendBytes(out, util::BytesOf(scale_));
   util::AppendBytes(out, util::BytesOf(offset_));
-}
-
-std::span<const uint8_t> Sq8Store::payload() const {
-  return util::BytesOf(codes_);
 }
 
 std::unique_ptr<VectorStore> Sq8Store::Reencode(
@@ -385,55 +375,29 @@ std::unique_ptr<VectorStore> Sq8Store::Reencode(
 // ------------------------------------------------------------------ pq ----
 
 PqStore::PqStore(std::unique_ptr<FloatMatrix> seed, size_t m)
-    : VectorStore(std::move(seed)), m_(m) {
-  assert(m_ >= 1 && (matrix_->cols() == 0 || m_ <= matrix_->cols()));
+    : QuantizedStore(std::move(seed), m, /*trained=*/false) {
+  assert(m >= 1 && (matrix_->cols() == 0 || m <= matrix_->cols()));
   InitSubspaces();
-  if (matrix_->rows() > 0) {
-    // Train on every physical row (tombstoned slots included, like SQ8's
-    // range) up to the deterministic sample cap.
-    std::vector<uint32_t> sample;
-    sample.reserve(std::min(matrix_->rows(), kTrainSample));
-    for (size_t r = 0; r < matrix_->rows() && sample.size() < kTrainSample;
-         ++r) {
-      sample.push_back(static_cast<uint32_t>(r));
-    }
-    Train(*matrix_, sample);
-    codes_.resize(matrix_->rows() * m_);
-    for (size_t r = 0; r < matrix_->rows(); ++r) {
-      EncodeRow(matrix_->row(r), static_cast<uint32_t>(r));
-    }
-  }
-  matrix_->ReleasePayload();
+  Seed();
 }
 
 PqStore::PqStore(std::unique_ptr<FloatMatrix> data, size_t m,
                  std::vector<float> codebooks)
-    : VectorStore(std::move(data)),
-      codebooks_(std::move(codebooks)),
-      m_(m) {
-  assert(m_ >= 1 && m_ <= matrix_->cols());
+    : QuantizedStore(std::move(data), m, /*trained=*/true),
+      codebooks_(std::move(codebooks)) {
+  assert(m >= 1 && m <= matrix_->cols());
   assert(codebooks_.size() == kCentroids * matrix_->cols());
   InitSubspaces();
-  trained_ = true;
-  codes_.resize(matrix_->rows() * m_);
-  for (size_t r = 0; r < matrix_->rows(); ++r) {
-    EncodeRow(matrix_->row(r), static_cast<uint32_t>(r));
-  }
-  matrix_->ReleasePayload();
+  EncodeAndRelease();
 }
 
 PqStore::PqStore(std::unique_ptr<FloatMatrix> shell, size_t m,
                  std::vector<float> codebooks, std::vector<uint8_t> codes,
                  bool trained)
-    : VectorStore(std::move(shell)),
-      codes_(std::move(codes)),
-      codebooks_(std::move(codebooks)),
-      m_(m),
-      trained_(trained) {
-  assert(matrix_->payload_released());
-  assert(m_ >= 1 && m_ <= matrix_->cols());
+    : QuantizedStore(std::move(shell), m, std::move(codes), trained),
+      codebooks_(std::move(codebooks)) {
+  assert(m >= 1 && m <= matrix_->cols());
   assert(codebooks_.size() == kCentroids * matrix_->cols());
-  assert(codes_.size() == matrix_->rows() * m_);
   InitSubspaces();
 }
 
@@ -441,22 +405,21 @@ void PqStore::InitSubspaces() {
   // Balanced ragged split: the first dim % m subspaces take one extra
   // dimension, so sum of widths == dim for any dim >= m.
   const size_t dim = matrix_->cols();
-  sub_begin_.assign(m_ + 1, 0);
-  const size_t base = dim / m_;
-  const size_t extra = dim % m_;
-  for (size_t j = 0; j < m_; ++j) {
+  sub_begin_.assign(m() + 1, 0);
+  const size_t base = dim / m();
+  const size_t extra = dim % m();
+  for (size_t j = 0; j < m(); ++j) {
     sub_begin_[j + 1] = sub_begin_[j] + base + (j < extra ? 1 : 0);
   }
   if (codebooks_.empty()) codebooks_.assign(kCentroids * dim, 0.0f);
 }
 
-void PqStore::Train(const FloatMatrix& data,
-                    const std::vector<uint32_t>& rows) {
-  const size_t npoints = rows.size();
-  if (npoints == 0) return;
+void PqStore::Train(const FloatMatrix& rows,
+                    const std::vector<uint32_t>& ids) {
+  const size_t npoints = std::min(ids.size(), kTrainSample);
   constexpr size_t kLloydIters = 8;
   std::vector<uint8_t> assign(npoints);
-  for (size_t j = 0; j < m_; ++j) {
+  for (size_t j = 0; j < m(); ++j) {
     const size_t begin = sub_begin_[j];
     const size_t dsub = sub_begin_[j + 1] - begin;
     float* cb = codebooks_.data() + kCentroids * begin;
@@ -465,9 +428,9 @@ void PqStore::Train(const FloatMatrix& data,
     // row then owns its own centroid and encodes exactly).
     for (size_t c = 0; c < kCentroids; ++c) {
       const uint32_t r = npoints >= kCentroids
-                             ? rows[c * npoints / kCentroids]
-                             : rows[c % npoints];
-      const float* src = data.row(r) + begin;
+                             ? ids[c * npoints / kCentroids]
+                             : ids[c % npoints];
+      const float* src = rows.row(r) + begin;
       std::copy(src, src + dsub, cb + c * dsub);
     }
     // Lloyd iterations: ties and empty clusters are resolved
@@ -478,7 +441,7 @@ void PqStore::Train(const FloatMatrix& data,
     for (size_t iter = 0; iter < kLloydIters; ++iter) {
       bool moved = false;
       for (size_t p = 0; p < npoints; ++p) {
-        const float* v = data.row(rows[p]) + begin;
+        const float* v = rows.row(ids[p]) + begin;
         float best = std::numeric_limits<float>::max();
         size_t best_c = 0;
         for (size_t c = 0; c < kCentroids; ++c) {
@@ -500,7 +463,7 @@ void PqStore::Train(const FloatMatrix& data,
       std::fill(sums.begin(), sums.end(), 0.0);
       std::fill(counts.begin(), counts.end(), 0);
       for (size_t p = 0; p < npoints; ++p) {
-        const float* v = data.row(rows[p]) + begin;
+        const float* v = rows.row(ids[p]) + begin;
         double* sum = sums.data() + static_cast<size_t>(assign[p]) * dsub;
         for (size_t d = 0; d < dsub; ++d) sum[d] += v[d];
         ++counts[assign[p]];
@@ -515,12 +478,10 @@ void PqStore::Train(const FloatMatrix& data,
       }
     }
   }
-  trained_ = true;
 }
 
-void PqStore::EncodeRow(const float* values, uint32_t id) {
-  uint8_t* out = codes_.data() + static_cast<size_t>(id) * m_;
-  for (size_t j = 0; j < m_; ++j) {
+void PqStore::EncodeRow(const float* values, uint8_t* out) const {
+  for (size_t j = 0; j < m(); ++j) {
     const size_t begin = sub_begin_[j];
     const size_t dsub = sub_begin_[j + 1] - begin;
     const float* v = values + begin;
@@ -543,91 +504,19 @@ void PqStore::EncodeRow(const float* values, uint32_t id) {
   }
 }
 
-size_t PqStore::bytes_per_vector() const { return m_; }
-
 size_t PqStore::resident_bytes() const {
-  return codes_.capacity() * sizeof(uint8_t) +
+  return QuantizedStore::resident_bytes() +
          codebooks_.capacity() * sizeof(float) +
-         sub_begin_.capacity() * sizeof(size_t) +
-         matrix_->data().capacity() * sizeof(float) +  // 0 unless view held
-         MatrixBookkeepingBytes(*matrix_);
-}
-
-uint32_t PqStore::InsertRow(const float* values, size_t len) {
-  if (!trained_) {
-    // Empty-seeded store: degenerate single-point training on the first
-    // vector (every centroid duplicates its subvector) — documented
-    // limitation, mirroring Sq8Store.
-    for (size_t j = 0; j < m_; ++j) {
-      const size_t begin = sub_begin_[j];
-      const size_t dsub = sub_begin_[j + 1] - begin;
-      float* cb = codebooks_.data() + kCentroids * begin;
-      for (size_t c = 0; c < kCentroids; ++c) {
-        std::copy(values + begin, values + begin + dsub, cb + c * dsub);
-      }
-    }
-    trained_ = true;
-  }
-  const uint32_t id = matrix_->InsertRow(values, len);
-  const size_t needed = (static_cast<size_t>(id) + 1) * m_;
-  if (codes_.size() < needed) codes_.resize(needed);
-  EncodeRow(values, id);
-  return id;
-}
-
-Status PqStore::EraseRow(size_t id) {
-  // Codes stay in place under the tombstone, exactly like Sq8Store —
-  // verification filters the id out, InsertRow re-encodes on recycle.
-  return matrix_->EraseRow(id);
-}
-
-size_t PqStore::TrimTombstonedTail() {
-  const size_t trimmed = matrix_->TrimTombstonedTail();
-  if (trimmed > 0) {
-    codes_.resize(matrix_->rows() * m_);
-    codes_.shrink_to_fit();
-  }
-  return trimmed;
-}
-
-bool PqStore::RetrainQuantizer() {
-  const size_t dim = matrix_->cols();
-  const size_t rows = matrix_->rows();
-  if (!trained_ || dim == 0 || rows == 0) return false;
-
-  // Decode every physical row with the *current* codebooks first: the new
-  // codebooks and codes must be a pure function of the old codes so WAL
-  // replay and replication reproduce them byte-identically.
-  auto decoded = std::make_unique<FloatMatrix>(rows, dim);
-  for (size_t r = 0; r < rows; ++r) {
-    DecodeRow(static_cast<uint32_t>(r), decoded->mutable_row(r));
-  }
-
-  // New codebooks from live rows only (capped deterministically) —
-  // tombstoned slots no longer pull centroids toward stale data.
-  std::vector<uint32_t> live;
-  live.reserve(std::min(rows, kTrainSample));
-  for (size_t r = 0; r < rows && live.size() < kTrainSample; ++r) {
-    if (!matrix_->IsDeleted(r)) live.push_back(static_cast<uint32_t>(r));
-  }
-  if (live.empty()) return false;
-  Train(*decoded, live);
-
-  // Re-encode every physical row (tombstoned included) so the whole code
-  // array stays a deterministic function of its prior state.
-  for (size_t r = 0; r < rows; ++r) {
-    EncodeRow(decoded->row(r), static_cast<uint32_t>(r));
-  }
-  return true;
+         sub_begin_.capacity() * sizeof(size_t);
 }
 
 void PqStore::DecodeRow(uint32_t id, float* out) const {
-  const uint8_t* code = codes_.data() + static_cast<size_t>(id) * m_;
-  for (size_t j = 0; j < m_; ++j) {
+  const uint8_t* row = code(id);
+  for (size_t j = 0; j < m(); ++j) {
     const size_t begin = sub_begin_[j];
     const size_t dsub = sub_begin_[j + 1] - begin;
     const float* cent =
-        codebooks_.data() + kCentroids * begin + code[j] * dsub;
+        codebooks_.data() + kCentroids * begin + row[j] * dsub;
     std::copy(cent, cent + dsub, out + begin);
   }
 }
@@ -636,13 +525,13 @@ float PqStore::ExactL2Squared(const float* query, uint32_t id) const {
   // Plain scalar accumulation on purpose: the re-rank ordering must be
   // identical on every SIMD tier (the ADC hot path already is), keeping
   // whole-search results tier-independent under PQ.
-  const uint8_t* code = codes_.data() + static_cast<size_t>(id) * m_;
+  const uint8_t* row = code(id);
   float total = 0.0f;
-  for (size_t j = 0; j < m_; ++j) {
+  for (size_t j = 0; j < m(); ++j) {
     const size_t begin = sub_begin_[j];
     const size_t dsub = sub_begin_[j + 1] - begin;
     const float* cent =
-        codebooks_.data() + kCentroids * begin + code[j] * dsub;
+        codebooks_.data() + kCentroids * begin + row[j] * dsub;
     for (size_t d = 0; d < dsub; ++d) {
       const float diff = query[begin + d] - cent[d];
       total += diff * diff;
@@ -657,8 +546,8 @@ void PqStore::PrepareQuery(const float* query,
   // so ScoreBatch is pure table accumulation. Built with plain scalar
   // arithmetic — never through simd::Active() — so the table (and thus
   // every downstream score) is identical on every tier.
-  prep->resize(m_ * kCentroids);
-  for (size_t j = 0; j < m_; ++j) {
+  prep->resize(m() * kCentroids);
+  for (size_t j = 0; j < m(); ++j) {
     const size_t begin = sub_begin_[j];
     const size_t dsub = sub_begin_[j + 1] - begin;
     const float* q = query + begin;
@@ -679,53 +568,20 @@ void PqStore::PrepareQuery(const float* query,
 void PqStore::ScoreBatch(const float* prep, size_t start,
                          const uint32_t* ids, size_t n, float* out) const {
   if (ids != nullptr) {
-    simd::Active().pq_adc_batch(prep, codes_.data(), m_, ids, n, out);
+    simd::Active().pq_adc_batch(prep, code(0), m(), ids, n, out);
   } else {
-    simd::Active().pq_adc_batch(prep, codes_.data() + start * m_, m_,
-                                nullptr, n, out);
+    simd::Active().pq_adc_batch(prep, code(start), m(), nullptr, n, out);
   }
-}
-
-void PqStore::MaterializeDecodeView() {
-  const size_t dim = matrix_->cols();
-  std::vector<float> decoded(matrix_->rows() * dim);
-  for (size_t r = 0; r < matrix_->rows(); ++r) {
-    DecodeRow(static_cast<uint32_t>(r), decoded.data() + r * dim);
-  }
-  matrix_->SetPayload(std::move(decoded));
-}
-
-void PqStore::ReleaseDecodeView() { matrix_->ReleasePayload(); }
-
-FloatMatrix PqStore::DecodedCopy() const {
-  const size_t dim = matrix_->cols();
-  std::vector<float> decoded(matrix_->rows() * dim);
-  for (size_t r = 0; r < matrix_->rows(); ++r) {
-    DecodeRow(static_cast<uint32_t>(r), decoded.data() + r * dim);
-  }
-  FloatMatrix out(matrix_->rows(), dim, std::move(decoded));
-  // Replay tombstones in erasure order so the copy's LIFO free-list
-  // recycles exactly like the live store would.
-  for (const uint32_t slot : matrix_->free_slots()) {
-    Status erased = out.EraseRow(slot);
-    assert(erased.ok());
-    (void)erased;
-  }
-  return out;
 }
 
 void PqStore::EncodeParams(std::vector<uint8_t>* out) const {
-  util::AppendPod(out, static_cast<uint32_t>(m_));
+  util::AppendPod(out, static_cast<uint32_t>(m()));
   util::AppendBytes(out, util::BytesOf(codebooks_));
-}
-
-std::span<const uint8_t> PqStore::payload() const {
-  return util::BytesOf(codes_);
 }
 
 std::unique_ptr<VectorStore> PqStore::Reencode(
     std::unique_ptr<FloatMatrix> rows) const {
-  return std::make_unique<PqStore>(std::move(rows), m_, codebooks_);
+  return std::make_unique<PqStore>(std::move(rows), m(), codebooks_);
 }
 
 std::unique_ptr<VectorStore> MakeVectorStore(

@@ -48,11 +48,12 @@ struct StoreHeader {
 ///
 /// - **Fp32Store** keeps the payload inside the matrix, bit-identical to
 ///   the pre-store code: same bytes, same kernels, same results.
-/// - **Sq8Store** scalar-quantizes each row to one byte per dimension
-///   (per-dimension offset/scale trained on the seed rows) and *releases*
-///   the matrix's fp32 payload — the matrix becomes a metadata shell
-///   (FloatMatrix::payload_released()), which is what makes the ~4x memory
-///   saving real instead of an extra copy.
+/// - **QuantizedStore** keeps each row as a fixed number of code bytes and
+///   *releases* the matrix's fp32 payload — the matrix becomes a metadata
+///   shell (FloatMatrix::payload_released()), which is what makes the
+///   memory saving real instead of an extra copy. Its two codecs are
+///   **Sq8Store** (one byte per dimension, ~4x) and **PqStore** (m bytes
+///   per row, ~16x at dim 128 / m 16).
 ///
 /// Query-time integration is through the shared verification path
 /// (core/verify.cc): the store binds itself to its matrix
@@ -83,7 +84,7 @@ class VectorStore {
   /// True when rows are stored quantized: verification scores through
   /// PrepareQuery/ScoreBatch and search results should be re-ranked with
   /// ExactL2Squared (Collection does both automatically).
-  virtual bool quantized() const = 0;
+  bool quantized() const { return storage_kind() != StorageKind::kFp32; }
 
   /// The logical matrix (ids, tombstones, free-list; payload too for
   /// fp32). Address-stable for the life of the store — indexes keep raw
@@ -91,7 +92,7 @@ class VectorStore {
   FloatMatrix& matrix() { return *matrix_; }
   const FloatMatrix& matrix() const { return *matrix_; }
 
-  /// Payload bytes per vector slot (fp32: 4*dim, sq8: dim).
+  /// Payload bytes per vector slot (fp32: 4*dim, sq8: dim, pq: m).
   virtual size_t bytes_per_vector() const = 0;
 
   /// Heap bytes currently resident in this store: payload plus
@@ -104,8 +105,11 @@ class VectorStore {
   /// now holding the vector.
   virtual uint32_t InsertRow(const float* values, size_t len) = 0;
 
-  /// Tombstones row `id` (exact FloatMatrix::EraseRow semantics).
-  virtual Status EraseRow(size_t id) = 0;
+  /// Tombstones row `id` (exact FloatMatrix::EraseRow semantics). The
+  /// row's bytes, fp32 or codes, stay in place under the tombstone:
+  /// verification filters the id out, and InsertRow overwrites the slot
+  /// when it recycles it.
+  Status EraseRow(size_t id) { return matrix_->EraseRow(id); }
 
   /// Physically drops every trailing tombstoned row, shrinking the payload
   /// to match (FloatMatrix::TrimTombstonedTail plus the backend's own code
@@ -226,11 +230,9 @@ class Fp32Store final : public VectorStore {
   explicit Fp32Store(std::unique_ptr<FloatMatrix> data);
 
   StorageKind storage_kind() const override { return StorageKind::kFp32; }
-  bool quantized() const override { return false; }
   size_t bytes_per_vector() const override;
   size_t resident_bytes() const override;
   uint32_t InsertRow(const float* values, size_t len) override;
-  Status EraseRow(size_t id) override;
   size_t TrimTombstonedTail() override;
   void DecodeRow(uint32_t id, float* out) const override;
   float ExactL2Squared(const float* query, uint32_t id) const override;
@@ -247,25 +249,103 @@ class Fp32Store final : public VectorStore {
       std::unique_ptr<FloatMatrix> rows) const override;
 };
 
-/// Scalar-quantized backend: row bytes live in a dim-byte-per-row code
-/// array; the adopted matrix keeps only metadata (payload released).
+/// The one code-array lifecycle of the quantized backends: each row is
+/// bytes_per_vector() code bytes in one array (tombstoned slots included),
+/// and the adopted matrix keeps only metadata (payload released). This
+/// class inserts and encodes, trims the tail, materializes the decode
+/// view, copies decoded rows and retrains; a codec (Sq8Store, PqStore)
+/// supplies only its parameters and how to train, encode, decode and
+/// score them.
 ///
-/// Quantization: per-dimension affine codes trained on the seed rows —
-/// offset[d] = min over rows, scale[d] = (max - min) / 255 (1.0 when the
-/// dimension is constant), code = round((v - offset) / scale) clamped to
-/// [0, 255]. Reconstruction error is at most scale[d]/2 per dimension for
-/// in-range values; vectors inserted later that fall outside the trained
-/// range clamp (their error can exceed the bound — re-rank still orders
-/// whatever the codes admit as candidates). A store constructed over an
-/// empty matrix trains on its first InsertRow (degenerate single-point
-/// range: scale 1.0 around that vector) — seed a representative sample
-/// when possible.
+/// Training: a seeded store trains on every physical row (tombstoned
+/// slots included, so the parameters do not depend on erasure timing). A
+/// store constructed over an empty matrix is untrained until its first
+/// InsertRow, which trains the codec on that one row — degenerate
+/// parameters (sq8: scale 1.0 around the vector; pq: every centroid at
+/// its sub-vector), so seed a representative sample when possible.
+/// RetrainQuantizer re-fits them to the live rows later.
 ///
 /// Updates: in-place index maintenance (AnnIndex::Insert reading fp32
 /// rows) is unavailable over a released payload; the Collection treats
-/// every slot as static under sq8 and relies on staleness-triggered
-/// rebuilds through the decode view.
-class Sq8Store final : public VectorStore {
+/// every slot as static under quantized storage and relies on
+/// staleness-triggered rebuilds through the decode view.
+class QuantizedStore : public VectorStore {
+ public:
+  size_t bytes_per_vector() const final { return code_width_; }
+  /// Codes, plus the decode view while one is held, plus the tombstone
+  /// bookkeeping; each codec adds its parameters.
+  size_t resident_bytes() const override;
+  /// Trains an untrained store on `values` first, then grows the code
+  /// array as needed and encodes the row into its slot.
+  uint32_t InsertRow(const float* values, size_t len) override;
+  size_t TrimTombstonedTail() override;
+  void MaterializeDecodeView() override;
+  void ReleaseDecodeView() override;
+  FloatMatrix DecodedCopy() const override;
+  /// Decodes every physical row with the current parameters, trains on
+  /// the live ones and re-encodes every row (tombstoned included), so the
+  /// codes stay a pure function of the old codes and parameters.
+  bool RetrainQuantizer() override;
+  std::span<const uint8_t> payload() const override;
+  bool trained() const override { return trained_; }
+
+  /// Raw code bytes, row r at codes()[r * bytes_per_vector() ..) — the
+  /// payload.
+  const std::vector<uint8_t>& codes() const { return codes_; }
+
+ protected:
+  /// Adopts `matrix` with `code_width` code bytes per row and nothing
+  /// encoded yet: the codec's constructor then calls Seed() or
+  /// EncodeAndRelease(). `matrix` binds as an rvalue reference so the
+  /// codec may read its shape in the same initializer list.
+  QuantizedStore(std::unique_ptr<FloatMatrix>&& matrix, size_t code_width,
+                 bool trained);
+  /// Adopts persisted code bytes verbatim (DecodeVectorStore, which checks
+  /// every size first): `shell` is a payload-released metadata matrix and
+  /// `codes` its shell->rows() * code_width bytes — no re-encoding, so the
+  /// restored store is byte-identical to the one that was encoded.
+  QuantizedStore(std::unique_ptr<FloatMatrix> shell, size_t code_width,
+                 std::vector<uint8_t> codes, bool trained);
+
+  /// The seeding constructors' step: trains on every physical row when
+  /// there is one, then EncodeAndRelease().
+  void Seed();
+  /// Encodes every physical row of the fp32 matrix and releases its
+  /// payload (the seeding and Reencode constructors).
+  void EncodeAndRelease();
+
+  /// Derives the codec's parameters from rows `ids` (ascending, at least
+  /// one) of `rows`, which has matrix().cols() columns.
+  virtual void Train(const FloatMatrix& rows,
+                     const std::vector<uint32_t>& ids) = 0;
+  /// Encodes one fp32 row into its bytes_per_vector() code bytes.
+  virtual void EncodeRow(const float* values, uint8_t* out) const = 0;
+
+  /// Row `id`'s code bytes.
+  const uint8_t* code(size_t id) const {
+    return codes_.data() + id * code_width_;
+  }
+
+ private:
+  /// Every physical row decoded, row-major (rows x cols floats).
+  std::vector<float> DecodeAll() const;
+
+  std::vector<uint8_t> codes_;  ///< rows x code_width_
+  size_t code_width_;
+  bool trained_;
+};
+
+/// Scalar-quantized codec: one code byte per dimension.
+///
+/// Quantization: per-dimension affine codes — offset[d] = min over the
+/// training rows, scale[d] = (max - min) / 255 (1.0 when the dimension is
+/// constant), code = round((v - offset) / scale) clamped to [0, 255].
+/// Reconstruction error is at most scale[d]/2 per dimension for in-range
+/// values; vectors inserted later that fall outside the trained range
+/// clamp (their error can exceed the bound — re-rank still orders whatever
+/// the codes admit as candidates). Retraining decodes first, so it can
+/// narrow the range to the live rows but never widen it.
+class Sq8Store final : public QuantizedStore {
  public:
   /// Trains on `seed`'s rows, encodes them, and releases the seed's fp32
   /// payload. The seed's tombstone state is preserved as-is.
@@ -278,77 +358,56 @@ class Sq8Store final : public VectorStore {
   Sq8Store(std::unique_ptr<FloatMatrix> data, std::vector<float> scale,
            std::vector<float> offset);
 
-  /// Adopts persisted code bytes directly (DecodeVectorStore, which
-  /// checks every size first): `shell` is a payload-released metadata
-  /// matrix whose fp32 bytes were never materialized, and `codes` are its
-  /// shell->rows() * shell->cols() quantized bytes verbatim — no
-  /// re-encoding, so the restored store is byte-identical to the one that
-  /// was encoded. `trained` round-trips the empty-seeded flag.
+  /// Adopts persisted code bytes directly (DecodeVectorStore): `codes`
+  /// are shell->rows() * shell->cols() bytes verbatim, and `trained`
+  /// round-trips the empty-seeded flag.
   Sq8Store(std::unique_ptr<FloatMatrix> shell, std::vector<float> scale,
            std::vector<float> offset, std::vector<uint8_t> codes,
            bool trained);
 
   StorageKind storage_kind() const override { return StorageKind::kSq8; }
-  bool quantized() const override { return true; }
-  size_t bytes_per_vector() const override;
   size_t resident_bytes() const override;
-  uint32_t InsertRow(const float* values, size_t len) override;
-  Status EraseRow(size_t id) override;
-  size_t TrimTombstonedTail() override;
   void DecodeRow(uint32_t id, float* out) const override;
   float ExactL2Squared(const float* query, uint32_t id) const override;
   void PrepareQuery(const float* query,
                     std::vector<float>* prep) const override;
   void ScoreBatch(const float* prep, size_t start, const uint32_t* ids,
                   size_t n, float* out) const override;
-  void MaterializeDecodeView() override;
-  void ReleaseDecodeView() override;
-  FloatMatrix DecodedCopy() const override;
-  bool RetrainQuantizer() override;
   void EncodeParams(std::vector<uint8_t>* out) const override;
-  std::span<const uint8_t> payload() const override;
-  bool trained() const override { return trained_; }
   std::unique_ptr<VectorStore> Reencode(
       std::unique_ptr<FloatMatrix> rows) const override;
 
   /// Per-dimension quantization parameters (the params section).
   const std::vector<float>& scales() const { return scale_; }
   const std::vector<float>& offsets() const { return offset_; }
-  /// Raw code bytes, row r at codes()[r * dim .. r * dim + dim) — the
-  /// payload.
-  const std::vector<uint8_t>& codes() const { return codes_; }
 
  private:
-  /// Derives scale_/offset_ from the per-dimension min/max of `m`'s rows.
-  void Train(const FloatMatrix& m);
-  /// Quantizes one fp32 row into codes_[id * dim ..).
-  void EncodeRow(const float* values, uint32_t id);
+  /// scale_/offset_ from the per-dimension min/max over rows `ids`.
+  void Train(const FloatMatrix& rows,
+             const std::vector<uint32_t>& ids) override;
+  void EncodeRow(const float* values, uint8_t* out) const override;
 
-  std::vector<uint8_t> codes_;  ///< rows x dim, tombstoned slots included
-  std::vector<float> scale_;    ///< per-dimension, > 0
-  std::vector<float> offset_;   ///< per-dimension
-  bool trained_ = false;
+  std::vector<float> scale_;   ///< per-dimension, > 0
+  std::vector<float> offset_;  ///< per-dimension
 };
 
-/// Product-quantized backend: each row is split into `m` contiguous
+/// Product-quantized codec: each row is split into `m` contiguous
 /// subspaces and stored as one byte per subspace — the index of the
 /// nearest centroid in that subspace's 256-entry codebook (nbits = 8).
-/// The adopted matrix keeps only metadata (payload released), so memory
-/// per vector drops from 4*dim bytes to m bytes (~16x at dim 128 / m 16).
 ///
 /// Subspace split: balanced ragged — the first dim % m subspaces get
 /// ceil(dim/m) dimensions, the rest floor(dim/m) — so any dim >= m works
 /// without padding, and the concatenated codebooks always total 256 * dim
 /// floats regardless of the split.
 ///
-/// Training: deterministic per-subspace k-means (Lloyd) over the seed
-/// rows, capped at a fixed-size deterministic sample. Initial centroids
-/// are evenly strided over the sample; with fewer rows than centroids the
-/// surplus centroids duplicate existing rows (every seed row then encodes
-/// exactly). Empty clusters keep their previous centroid, and distance
-/// ties assign to the lowest centroid index, so the codebooks are a pure
-/// function of the training rows — the determinism WAL replay and
-/// replication rely on (see RetrainQuantizer).
+/// Training: deterministic per-subspace k-means (Lloyd) over the training
+/// rows, capped at the first kTrainSample of them. Initial centroids are
+/// evenly strided over the sample; with fewer rows than centroids the
+/// surplus centroids duplicate existing rows (every training row then
+/// encodes exactly). Empty clusters keep their previous centroid, and
+/// distance ties assign to the lowest centroid index, so the codebooks
+/// are a pure function of the training rows — the determinism WAL replay
+/// and replication rely on (see RetrainQuantizer).
 ///
 /// Scoring: PrepareQuery computes the ADC lookup table — m x 256 squared
 /// sub-distances from the query to every centroid — once per query, in
@@ -358,24 +417,18 @@ class Sq8Store final : public VectorStore {
 /// never quantized, so ADC scores are exact on the query side; re-rank
 /// (ExactL2Squared) re-scores against the same reconstruction and exists
 /// for ordering stability under the shared rerank=N machinery.
-///
-/// Updates mirror Sq8Store: in-place index maintenance is unavailable
-/// over a released payload, slots are static, rebuilds read through the
-/// decode view. An empty-seeded store trains on its first InsertRow
-/// (degenerate single-point codebooks) — seed a representative sample
-/// when possible.
-class PqStore final : public VectorStore {
+class PqStore final : public QuantizedStore {
  public:
   /// Centroids per subspace (nbits = 8 — the one code width the 1-byte
   /// layout and the ADC kernels support).
   static constexpr size_t kCentroids = 256;
   /// Deterministic training-sample cap: k-means trains on the first
-  /// kTrainSample qualifying rows (all seed rows when fewer).
+  /// kTrainSample training rows (all of them when fewer).
   static constexpr size_t kTrainSample = 16384;
 
-  /// Trains codebooks on `seed`'s rows (all physical rows, like SQ8's
-  /// range), encodes them, and releases the seed's fp32 payload. `m` must
-  /// be in [1, seed->cols()]. The seed's tombstone state is preserved.
+  /// Trains codebooks on `seed`'s rows, encodes them, and releases the
+  /// seed's fp32 payload. `m` must be in [1, seed->cols()]. The seed's
+  /// tombstone state is preserved.
   PqStore(std::unique_ptr<FloatMatrix> seed, size_t m);
 
   /// Restores a store from persisted codebooks (Reencode, the index-file
@@ -385,66 +438,47 @@ class PqStore final : public VectorStore {
   PqStore(std::unique_ptr<FloatMatrix> data, size_t m,
           std::vector<float> codebooks);
 
-  /// Adopts persisted code bytes directly (DecodeVectorStore, which
-  /// checks every size first): `shell` is a payload-released metadata
-  /// matrix and `codes` are its shell->rows() * m code bytes verbatim — no
-  /// re-encoding, so the restored store is byte-identical to the one that
-  /// was encoded.
+  /// Adopts persisted code bytes directly (DecodeVectorStore): `codes`
+  /// are shell->rows() * m bytes verbatim.
   PqStore(std::unique_ptr<FloatMatrix> shell, size_t m,
           std::vector<float> codebooks, std::vector<uint8_t> codes,
           bool trained);
 
   StorageKind storage_kind() const override { return StorageKind::kPq; }
-  bool quantized() const override { return true; }
-  size_t bytes_per_vector() const override;
   size_t resident_bytes() const override;
-  uint32_t InsertRow(const float* values, size_t len) override;
-  Status EraseRow(size_t id) override;
-  size_t TrimTombstonedTail() override;
   void DecodeRow(uint32_t id, float* out) const override;
   float ExactL2Squared(const float* query, uint32_t id) const override;
   void PrepareQuery(const float* query,
                     std::vector<float>* prep) const override;
   void ScoreBatch(const float* prep, size_t start, const uint32_t* ids,
                   size_t n, float* out) const override;
-  void MaterializeDecodeView() override;
-  void ReleaseDecodeView() override;
-  FloatMatrix DecodedCopy() const override;
-  bool RetrainQuantizer() override;
   void EncodeParams(std::vector<uint8_t>* out) const override;
-  std::span<const uint8_t> payload() const override;
-  bool trained() const override { return trained_; }
   std::unique_ptr<VectorStore> Reencode(
       std::unique_ptr<FloatMatrix> rows) const override;
 
   /// Number of subspaces (= code bytes per row).
-  size_t m() const { return m_; }
+  size_t m() const { return bytes_per_vector(); }
   /// Concatenated sub-quantizer codebooks: subspace j's centroid c spans
   /// codebooks()[256 * sub_begin(j) + c * sub_dim(j) ..), totalling
   /// 256 * dim floats. With m, the params section.
   const std::vector<float>& codebooks() const { return codebooks_; }
-  /// Raw code bytes, row r at codes()[r * m .. r * m + m) — the payload.
-  const std::vector<uint8_t>& codes() const { return codes_; }
   /// First dimension of subspace j (j in [0, m]; sub_begin(m) == dim).
   size_t sub_begin(size_t j) const { return sub_begin_[j]; }
   /// Width of subspace j.
   size_t sub_dim(size_t j) const { return sub_begin_[j + 1] - sub_begin_[j]; }
 
  private:
-  /// Derives codebooks_ by deterministic k-means over `rows` (row ids into
-  /// `m`, pre-filtered and capped by the caller).
-  void Train(const FloatMatrix& data, const std::vector<uint32_t>& rows);
-  /// Encodes one fp32 row into codes_[id * m ..) (nearest centroid per
-  /// subspace, lowest index on ties).
-  void EncodeRow(const float* values, uint32_t id);
+  /// codebooks_ by deterministic k-means over the first kTrainSample of
+  /// rows `ids`.
+  void Train(const FloatMatrix& rows,
+             const std::vector<uint32_t>& ids) override;
+  /// Nearest centroid per subspace, lowest index on ties.
+  void EncodeRow(const float* values, uint8_t* out) const override;
   /// Fills the balanced ragged subspace bounds for the matrix's dim.
   void InitSubspaces();
 
-  std::vector<uint8_t> codes_;      ///< rows x m, tombstoned slots included
-  std::vector<float> codebooks_;    ///< 256 * dim, per-subspace blocks
-  std::vector<size_t> sub_begin_;   ///< m + 1 subspace dimension bounds
-  size_t m_ = 0;
-  bool trained_ = false;
+  std::vector<float> codebooks_;   ///< 256 * dim, per-subspace blocks
+  std::vector<size_t> sub_begin_;  ///< m + 1 subspace dimension bounds
 };
 
 /// Constructs the requested backend over `data` (see Fp32Store / Sq8Store
