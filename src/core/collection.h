@@ -365,7 +365,9 @@ class Collection {
   /// shard), and makes it visible to every updatable index of the owning
   /// shard; static indexes count staleness and rebuild at their threshold.
   /// Returns the id now serving the vector. The whole update commits
-  /// atomically with respect to readers.
+  /// atomically with respect to readers. A vector of the wrong length or
+  /// with a NaN or infinite coordinate is InvalidArgument, and nothing is
+  /// applied or logged.
   ///
   /// The returned status reports the *mutation*: once the arguments
   /// validate, the vector is committed and the id returned. A failing

@@ -3,6 +3,7 @@
 // primary's Upsert/Delete transaction, and the follower's replicated-record
 // apply — which shares both with the primary and with WAL replay.
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <mutex>
 #include <string>
@@ -14,6 +15,30 @@
 namespace dblsh {
 
 using durability::WalOp;
+
+namespace {
+
+/// What both Upsert overloads check before anything is applied or logged:
+/// the collection's dimension, and finite coordinates (no window of the
+/// R*-tree ever contains a NaN, and sq8 codes cannot represent one).
+Status CheckUpsertVector(const float* vec, size_t len, size_t dim) {
+  if (len != dim) {
+    return Status::InvalidArgument(
+        "Upsert: vector has dimension " + std::to_string(len) +
+        ", collection serves " + std::to_string(dim));
+  }
+  for (size_t j = 0; j < len; ++j) {
+    if (!std::isfinite(vec[j])) {
+      return Status::InvalidArgument("Upsert: coordinate " +
+                                     std::to_string(j) + " is " +
+                                     std::to_string(vec[j]) +
+                                     "; vectors must be finite");
+    }
+  }
+  return Status::OK();
+}
+
+}  // namespace
 
 Status Collection::ApplyLocked(size_t shard_index, WalOp op,
                                uint32_t global_id, const float* vec) {
@@ -173,11 +198,7 @@ size_t Collection::PickInsertShard() const {
 
 Result<uint32_t> Collection::Upsert(const float* vec, size_t len) {
   if (read_only()) return Status::ReadOnly(read_only_message_);
-  if (len != dim_) {
-    return Status::InvalidArgument(
-        "Upsert: vector has dimension " + std::to_string(len) +
-        ", collection serves " + std::to_string(dim_));
-  }
+  DBLSH_RETURN_IF_ERROR(CheckUpsertVector(vec, len, dim_));
   const size_t shard_index = PickInsertShard();
   Shard& shard = *shards_[shard_index];
   std::unique_lock lock(shard.mutex);
@@ -196,11 +217,7 @@ Result<uint32_t> Collection::Upsert(const float* vec, size_t len) {
 Result<uint32_t> Collection::Upsert(uint32_t id, const float* vec,
                                     size_t len) {
   if (read_only()) return Status::ReadOnly(read_only_message_);
-  if (len != dim_) {
-    return Status::InvalidArgument(
-        "Upsert: vector has dimension " + std::to_string(len) +
-        ", collection serves " + std::to_string(dim_));
-  }
+  DBLSH_RETURN_IF_ERROR(CheckUpsertVector(vec, len, dim_));
   const size_t shard_index = ShardOfId(id);
   const uint32_t local = LocalOfId(id);
   Shard& shard = *shards_[shard_index];

@@ -10,6 +10,7 @@
 #include <atomic>
 #include <cmath>
 #include <future>
+#include <limits>
 #include <memory>
 #include <set>
 #include <string>
@@ -241,6 +242,36 @@ TEST(CollectionTest, UpsertDeleteSearchRoundTrip) {
   EXPECT_EQ(c.Upsert(outlier.data(), 5).status().code(),
             StatusCode::kInvalidArgument);
   EXPECT_EQ(c.epoch(), 2u);
+}
+
+// NaN and infinite coordinates are refused by both overloads before
+// anything is applied or logged: no R*-tree window contains such a row,
+// and sq8 cannot encode it.
+TEST(CollectionTest, UpsertRejectsNonFiniteVectors) {
+  for (const char* storage : {"fp32", "sq8"}) {
+    SCOPED_TRACE(storage);
+    auto made = Collection::FromSpec(
+        std::string("collection,storage=") + storage + ": LinearScan",
+        EasyDataPtr(200));
+    ASSERT_TRUE(made.ok()) << made.status().ToString();
+    Collection& c = *made.value();
+    for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity()}) {
+      std::vector<float> v = OutlierVector(16);
+      v[7] = bad;
+      EXPECT_EQ(c.Upsert(v.data(), v.size()).status().code(),
+                StatusCode::kInvalidArgument)
+          << bad;
+      EXPECT_EQ(c.Upsert(3, v.data(), v.size()).status().code(),
+                StatusCode::kInvalidArgument)
+          << bad;
+    }
+    EXPECT_EQ(c.size(), 200u);
+    EXPECT_EQ(c.epoch(), 0u);
+    const std::vector<float> fine = OutlierVector(16);
+    EXPECT_TRUE(c.Upsert(fine.data(), fine.size()).ok());
+  }
 }
 
 TEST(CollectionTest, UpsertReplaceKeepsIdServingNewVector) {
