@@ -50,6 +50,10 @@ Status E2Lsh::Build(const FloatMatrix* data) {
   if (params_.k == 0 || params_.l == 0 || params_.levels == 0) {
     return Status::InvalidArgument("k, l and levels must all be >= 1");
   }
+  DBLSH_RETURN_IF_ERROR(CheckBuildSize<float>(
+      "projection bank l * k * dim", {params_.l, params_.k, data->cols()}));
+  DBLSH_RETURN_IF_ERROR(
+      CheckBuildSize<Table>("tables levels * l", {params_.levels, params_.l}));
   data_ = data;
   const size_t n = data->rows();
   if (params_.w0 <= 0.0) params_.w0 = 4.0 * params_.c * params_.c;

@@ -35,9 +35,13 @@ Status LsbForest::Build(const FloatMatrix* data) {
     return Status::InvalidArgument(
         "LsbForest::Build requires a non-empty dataset");
   }
-  if (params_.k * params_.bits > 64) {
+  size_t code_bits = 0;
+  if (__builtin_mul_overflow(params_.k, params_.bits, &code_bits) ||
+      code_bits > 64) {
     return Status::InvalidArgument("k * bits must fit in a 64-bit Z-code");
   }
+  DBLSH_RETURN_IF_ERROR(
+      CheckBuildSize<decltype(sorted_)::value_type>("trees l", {params_.l}));
   data_ = data;
   const size_t n = data->rows();
   const double w =

@@ -42,6 +42,8 @@ Status MultiProbeLsh::Build(const FloatMatrix* data) {
   if (params_.k == 0 || params_.l == 0 || params_.probes == 0) {
     return Status::InvalidArgument("k, l and probes must all be >= 1");
   }
+  DBLSH_RETURN_IF_ERROR(CheckBuildSize<float>(
+      "projection bank l * k * dim", {params_.l, params_.k, data->cols()}));
   data_ = data;
   const size_t n = data->rows();
   if (params_.w0 <= 0.0) {

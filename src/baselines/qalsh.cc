@@ -25,6 +25,8 @@ Status Qalsh::Build(const FloatMatrix* data) {
   if (params_.m == 0) {
     return Status::InvalidArgument("QALSH needs at least one hash function");
   }
+  DBLSH_RETURN_IF_ERROR(CheckBuildSize<float>("projection bank m * dim",
+                                              {params_.m, data->cols()}));
   data_ = data;
   const size_t n = data->rows();
 

@@ -26,6 +26,8 @@ Status R2Lsh::Build(const FloatMatrix* data) {
   if (params_.m < 2) {
     return Status::InvalidArgument("R2LSH needs at least one 2D space");
   }
+  DBLSH_RETURN_IF_ERROR(CheckBuildSize<float>("projection bank m * dim",
+                                              {params_.m, data->cols()}));
   params_.m -= params_.m % 2;  // pair up projections
   num_spaces_ = params_.m / 2;
   data_ = data;

@@ -21,6 +21,8 @@ Status Srs::Build(const FloatMatrix* data) {
   if (params_.m == 0) {
     return Status::InvalidArgument("SRS needs at least one projection");
   }
+  DBLSH_RETURN_IF_ERROR(CheckBuildSize<float>("projection bank m * dim",
+                                              {params_.m, data->cols()}));
   data_ = data;
   bank_ = std::make_unique<lsh::ProjectionBank>(params_.m, data->cols(),
                                                 params_.seed);

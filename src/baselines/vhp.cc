@@ -25,6 +25,8 @@ Status Vhp::Build(const FloatMatrix* data) {
   if (params_.m == 0) {
     return Status::InvalidArgument("VHP needs at least one hash function");
   }
+  DBLSH_RETURN_IF_ERROR(CheckBuildSize<float>("projection bank m * dim",
+                                              {params_.m, data->cols()}));
   if (params_.t0 < 1.0) {
     return Status::InvalidArgument("slack factor t0 must be >= 1");
   }

@@ -2,6 +2,7 @@
 #define DBLSH_CORE_ANN_INDEX_H_
 
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -136,6 +137,25 @@ class AnnIndex {
   /// RebindData, null until a Build sets it.
   const FloatMatrix* data_ = nullptr;
 };
+
+/// The sizing check a Build makes before it allocates from its spec keys:
+/// InvalidArgument, naming `what` and the factors, unless their product
+/// fits size_t and a std::vector<T> that long can exist (max_size()). A
+/// size in range may still be too large to allocate.
+template <typename T>
+Status CheckBuildSize(const std::string& what,
+                      std::initializer_list<size_t> factors) {
+  size_t total = 1;
+  bool overflow = false;
+  std::string values;
+  for (const size_t f : factors) {
+    overflow |= __builtin_mul_overflow(total, f, &total);
+    values += (values.empty() ? "" : " * ") + std::to_string(f);
+  }
+  if (!overflow && total <= std::vector<T>().max_size()) return Status::OK();
+  return Status::InvalidArgument(what + " = " + values +
+                                 " exceeds the largest vector");
+}
 
 }  // namespace dblsh
 

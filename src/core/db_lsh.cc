@@ -63,17 +63,9 @@ Status DbLsh::Build(const FloatMatrix* data) {
   if (params_.w0 <= 0.0) params_.w0 = 4.0 * params_.c * params_.c;
   if (params_.k == 0) params_.k = (n > 1000000) ? 12 : 10;
   // The projection bank holds l*k directions of dim floats each, in one
-  // vector. A count past its max_size (which also keeps 2*l below
-  // SIZE_MAX for the default t) is refused rather than wrapped or thrown.
-  size_t bank_floats = 0;
-  if (__builtin_mul_overflow(params_.l, params_.k, &bank_floats) ||
-      __builtin_mul_overflow(bank_floats, data->cols(), &bank_floats) ||
-      bank_floats > std::vector<float>().max_size()) {
-    return Status::InvalidArgument(
-        "l * k * dim exceeds the largest projection bank (l=" +
-        std::to_string(params_.l) + ", k=" + std::to_string(params_.k) +
-        ", dim=" + std::to_string(data->cols()) + ")");
-  }
+  // vector; its max_size also keeps 2*l below SIZE_MAX for the default t.
+  DBLSH_RETURN_IF_ERROR(CheckBuildSize<float>(
+      "projection bank l * k * dim", {params_.l, params_.k, data->cols()}));
   if (params_.t == 0) {
     // Default candidate budget 2tL ~ max(192, 4*sqrt(n)): grows sub-linearly
     // with n (the theory's budget is O(tL) = O(n^rho*)), which is what keeps

@@ -153,16 +153,31 @@ TEST(IndexFactoryTest, MalformedSpecsReturnStatusErrors) {
     EXPECT_EQ(made.status().code(), StatusCode::kInvalidArgument);
   }
 
-  // l fits size_t, but the l*k*dim floats of the projection bank do not,
-  // or (2^63 on one column) exceed what one vector can hold and make 2*l
-  // wrap: Build refuses both instead of sizing a wrapped allocation.
+  // A sizing key fits size_t, but what Build sizes from it does not: the
+  // l*k*dim floats of a projection bank, E2LSH's levels*l tables,
+  // LSB-Forest's l trees or its k*bits Z-code (2^61 * 8 wraps to 0), or
+  // (2^63 on one column) more than one vector can hold, which also makes
+  // DB-LSH's 2*l wrap. Build refuses each instead of sizing a wrapped or
+  // impossible allocation.
   const FloatMatrix data =
       GenerateClustered({.n = 500, .dim = 16, .clusters = 4, .seed = 6});
   const FloatMatrix column =
       GenerateClustered({.n = 500, .dim = 1, .clusters = 4, .seed = 6});
   for (const auto& [spec, rows] :
        {std::pair{"DB-LSH,l=18446744073709551615", &data},
-        std::pair{"DB-LSH,l=9223372036854775808,k=1", &column}}) {
+        std::pair{"DB-LSH,l=9223372036854775808,k=1", &column},
+        std::pair{"E2LSH,l=18446744073709551615", &data},
+        std::pair{"E2LSH,k=18446744073709551615", &data},
+        std::pair{"E2LSH,levels=18446744073709551615", &data},
+        std::pair{"MultiProbe,l=18446744073709551615", &data},
+        std::pair{"MultiProbe,k=18446744073709551615", &data},
+        std::pair{"PM-LSH,m=18446744073709551615", &data},
+        std::pair{"QALSH,m=18446744073709551615", &data},
+        std::pair{"R2LSH,m=18446744073709551615", &data},
+        std::pair{"SRS,m=18446744073709551615", &data},
+        std::pair{"VHP,m=18446744073709551615", &data},
+        std::pair{"LSB-Forest,l=18446744073709551615", &data},
+        std::pair{"LSB-Forest,k=2305843009213693952", &data}}) {
     SCOPED_TRACE(spec);
     auto huge = IndexFactory::Make(spec);
     ASSERT_TRUE(huge.ok()) << huge.status().ToString();
