@@ -44,8 +44,8 @@
 // (`--indexes` is a ';'-separated list of factory specs) with optional
 // per-query id filtering: `--filter=deny:IDS` excludes the ids,
 // `--filter=allow:IDS` (or a bare id list) restricts results to them.
-// `--shards=N`, `--storage=fp32|sq8|pq`, `--m=M`/`--nbits=8` (pq only)
-// and `--rerank=N` configure the collection itself (same flags on `serve`
+// `--shards=N`, `--storage=fp32|sq8|pq`, `--m=M` (pq only) and
+// `--rerank=N` configure the collection itself (same flags on `serve`
 // and `collection stats`): sq8 serves quantized rows at 1 byte/dim, pq at
 // --m bytes/row via k-means codebooks + ADC tables; both re-rank with
 // exact distances. `collection stats` reports the storage kind and
@@ -329,16 +329,15 @@ size_t ConfigureThreads(const Args& args) {
   return threads == 0 ? exec::HardwareConcurrency() : threads;
 }
 
-// Collection spec prefix from the shared --shards/--storage/--m/--nbits/
-// --rerank flags (collection search / serve / collection stats all accept
-// them). --m/--nbits only make sense with --storage=pq; FromSpec rejects
-// them otherwise with a typed message.
+// Collection spec prefix from the shared --shards/--storage/--m/--rerank
+// flags (collection search / serve / collection stats all accept them).
+// --m only makes sense with --storage=pq; FromSpec rejects it otherwise
+// with a typed message.
 std::string CollectionPrefix(const Args& args) {
   std::string prefix = "collection";
   if (args.Has("shards")) prefix += ",shards=" + args.Get("shards", "1");
   if (args.Has("storage")) prefix += ",storage=" + args.Get("storage", "");
   if (args.Has("m")) prefix += ",m=" + args.Get("m", "16");
-  if (args.Has("nbits")) prefix += ",nbits=" + args.Get("nbits", "8");
   if (args.Has("rerank")) prefix += ",rerank=" + args.Get("rerank", "4");
   if (args.Has("durability")) {
     prefix += ",durability=" + args.Get("durability", "");

@@ -9,7 +9,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdlib>
-#include <limits>
 #include <mutex>
 #include <shared_mutex>
 #include <utility>
@@ -106,7 +105,7 @@ Result<std::unique_ptr<Collection>> Collection::FromSpec(
     exec::TaskExecutor* executor) {
   static const char* kGrammar =
       "collection spec grammar: \"collection[,shards=N][,rebuild=inline|"
-      "background][,storage=fp32|sq8|pq][,m=M][,nbits=8][,rerank=N]"
+      "background][,storage=fp32|sq8|pq][,m=M][,rerank=N]"
       "[,durability=PATH][,compact_threshold=R][,wal_sync=N]: INDEX_SPEC (; "
       "INDEX_SPEC)*\", e.g. \"collection,shards=4,storage=pq,m=16:"
       " DB-LSH,c=1.5; PM-LSH,rebuild_threshold=500\"";
@@ -130,13 +129,8 @@ Result<std::unique_ptr<Collection>> Collection::FromSpec(
   reader.Key("shards", &options.shards);
   reader.Key("rebuild", &rebuild_mode);
   reader.Key("storage", &storage_name);
-  // SIZE_MAX = key absent (SpecReader leaves the default in place); any
-  // provided value, 0 included, must be validated below.
-  constexpr size_t kAbsent = std::numeric_limits<size_t>::max();
-  size_t spec_m = kAbsent;
-  size_t spec_nbits = kAbsent;
+  size_t spec_m = 0;
   reader.Key("m", &spec_m);
-  reader.Key("nbits", &spec_nbits);
   reader.Key("rerank", &options.rerank);
   reader.Key("durability", &options.durability_dir);
   reader.Key("compact_threshold", &options.compact_threshold);
@@ -158,30 +152,30 @@ Result<std::unique_ptr<Collection>> Collection::FromSpec(
     if (!kind.ok()) return kind.status();
     options.storage = kind.value();
   }
-  if (options.storage == StorageKind::kPq) {
-    if (spec_m != kAbsent) {
-      if (spec_m == 0) {
-        return Status::InvalidArgument(
-            "collection key \"m\" must be >= 1; " + std::string(kGrammar));
-      }
-      options.pq_m = spec_m;
-    }
-    if (spec_nbits != kAbsent && spec_nbits != 8) {
-      return Status::InvalidArgument(
-          "collection key \"nbits\" must be 8 (256-centroid codebooks are "
-          "the only supported width), got " + std::to_string(spec_nbits));
-    }
-    if (data != nullptr && data->cols() > 0 && options.pq_m > data->cols()) {
-      return Status::InvalidArgument(
-          "collection key \"m\" (" + std::to_string(options.pq_m) +
-          ") must be <= the vector dimension (" +
-          std::to_string(data->cols()) + ")");
-    }
-  } else if (spec_m != kAbsent || spec_nbits != kAbsent) {
+  // Presence comes from the spec itself, so every value of m given is
+  // checked, 0 and 2^64-1 included.
+  const bool has_m = prefix.value().values().count("m") > 0;
+  if (has_m && options.storage != StorageKind::kPq) {
     return Status::InvalidArgument(
-        "collection keys \"m\" and \"nbits\" require storage=pq; " +
-        std::string(kGrammar));
+        "collection key \"m\" requires storage=pq; " + std::string(kGrammar));
   }
+  if (has_m && spec_m == 0) {
+    return Status::InvalidArgument(
+        "collection key \"m\" must be >= 1; " + std::string(kGrammar));
+  }
+  if (has_m) options.pq_m = spec_m;
+  // m must fit the rows' dimension: the seed's, or the durable state's on
+  // recovery. A seed without columns fixes no dimension, so there only an
+  // explicit m is refused.
+  auto check_m = [&](size_t dim) -> Status {
+    if (options.storage != StorageKind::kPq || options.pq_m <= dim ||
+        (dim == 0 && !has_m)) {
+      return Status::OK();
+    }
+    return Status::InvalidArgument(
+        "collection key \"m\" (" + std::to_string(options.pq_m) +
+        ") must be <= the vector dimension (" + std::to_string(dim) + ")");
+  };
   if (options.rerank == 0) {
     return Status::InvalidArgument(
         "collection key \"rerank\" must be >= 1; " + std::string(kGrammar));
@@ -227,6 +221,7 @@ Result<std::unique_ptr<Collection>> Collection::FromSpec(
             " does not match the durable state at \"" +
             options.durability_dir + "\"");
       }
+      DBLSH_RETURN_IF_ERROR(check_m(m.dim));
       collection = std::make_unique<Collection>(m.dim, options);
       DBLSH_RETURN_IF_ERROR(collection->RecoverShards(options, m));
     } else if (manifest.status().code() == StatusCode::kNotFound) {
@@ -238,6 +233,7 @@ Result<std::unique_ptr<Collection>> Collection::FromSpec(
             "provided; seed a fresh collection or point durability= at an "
             "existing one");
       }
+      DBLSH_RETURN_IF_ERROR(check_m(data->cols()));
       collection = std::make_unique<Collection>(std::move(data), options);
       DBLSH_RETURN_IF_ERROR(collection->InitDurability(options));
     } else {
@@ -249,6 +245,7 @@ Result<std::unique_ptr<Collection>> Collection::FromSpec(
           "FromSpec needs seed data (a RAM-only collection cannot recover "
           "from disk); pass an empty FloatMatrix to start empty");
     }
+    DBLSH_RETURN_IF_ERROR(check_m(data->cols()));
     collection = std::make_unique<Collection>(std::move(data), options);
   }
   const std::string body = spec.substr(colon + 1);

@@ -154,9 +154,7 @@ struct CollectionOptions {
   /// Product-quantization subspace count (spec key `m=M`, >= 1, <= dim;
   /// only meaningful — and only accepted by FromSpec — under
   /// `storage=pq`). Each vector is encoded as `pq_m` one-byte centroid
-  /// ids, so bytes/vector == pq_m. The companion spec key `nbits=B` is
-  /// accepted for forward compatibility but must equal 8 (256-centroid
-  /// codebooks are the only supported width).
+  /// ids, so bytes/vector == pq_m.
   size_t pq_m = 16;
 
   /// Re-rank depth multiplier for quantized storage (spec key `rerank=N`,
@@ -304,8 +302,8 @@ class Collection {
   ///   "collection[,OPTION...]: INDEX_SPEC (';' INDEX_SPEC)*"
   ///
   /// where each OPTION is a CollectionOptions key — `shards=N` (>= 1),
-  /// `rebuild=inline|background`, `storage=fp32|sq8|pq`, `m=M` (>= 1,
-  /// pq only), `nbits=8` (pq only), `rerank=N` (>= 1),
+  /// `rebuild=inline|background`, `storage=fp32|sq8|pq`, `m=M` (1 to
+  /// dim, pq only), `rerank=N` (>= 1),
   /// `durability=PATH`, `compact_threshold=R` (0 < R < 1) and
   /// `wal_sync=N` (>= 1) — and each INDEX_SPEC is an IndexFactory
   /// spec ("DB-LSH,c=1.5") that may additionally carry the slot-level keys

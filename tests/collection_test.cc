@@ -139,15 +139,17 @@ TEST(CollectionSpecTest, FromSpecRejectsMalformedSpecs) {
 }
 
 TEST(CollectionSpecTest, PqSpecKeysValidated) {
-  // m/nbits are pq-only keys; nbits must be 8 when given; m must fit the
-  // dimensionality (dim 16 here) and be positive.
+  // m is a pq-only key; it must fit the dimensionality (dim 16 here) and
+  // be positive, whatever its value. nbits is not a key.
   const std::vector<std::string> bad = {
       "collection,m=4: LinearScan",               // m without storage=pq
       "collection,storage=sq8,m=4: LinearScan",   // m under sq8
-      "collection,nbits=8: LinearScan",           // nbits without storage=pq
-      "collection,storage=pq,m=4,nbits=4: LinearScan",  // unsupported width
+      "collection,nbits=8: LinearScan",           // unknown key
+      "collection,storage=pq,m=4,nbits=4: LinearScan",  // unknown key
+      "collection,storage=pq,m=4,nbits=8: LinearScan",  // unknown key
       "collection,storage=pq,m=0: LinearScan",    // zero subspaces
       "collection,storage=pq,m=17: LinearScan",   // m > dim
+      "collection,storage=pq,m=18446744073709551615: LinearScan",  // m > dim
   };
   for (const std::string& spec : bad) {
     EXPECT_FALSE(Collection::FromSpec(spec, EasyDataPtr(200)).ok()) << spec;
@@ -155,7 +157,6 @@ TEST(CollectionSpecTest, PqSpecKeysValidated) {
   const std::vector<std::string> good = {
       "collection,storage=pq: LinearScan",            // default m
       "collection,storage=pq,m=4: LinearScan",
-      "collection,storage=pq,m=4,nbits=8: LinearScan",
       "collection,storage=pq,m=16,rerank=8: LinearScan",  // m == dim
   };
   for (const std::string& spec : good) {
