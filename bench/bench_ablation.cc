@@ -23,8 +23,8 @@ void RunBucketing(const eval::Workload& workload) {
   eval::Table table({"Bucketing", "QueryTime", "Recall", "OverallRatio",
                      "AvgCandidates"});
   for (const bool dynamic : {true, false}) {
-    const std::string spec = std::string("DB-LSH,k=8,l=5,t=40,bucketing=") +
-                             (dynamic ? "dynamic" : "fixed");
+    const std::string spec =
+        std::string(dynamic ? "DB-LSH" : "FB-LSH") + ",k=8,l=5,t=40";
     auto result = eval::RunSpec(spec, workload);
     bench::ExitIfFailed(spec, result.status());
     const auto& r = result.value();

@@ -28,11 +28,6 @@ DBLSH_REGISTER_INDEX(
       auto params =
           DbLshParamsFromSpec(spec.WithoutKey("n"), FbLshDefaultParams(n));
       if (!params.ok()) return params.status();
-      if (params.value().bucketing != BucketingMode::kFixedGrid) {
-        return Status::InvalidArgument(
-            "FB-LSH is the fixed-grid ablation; use DB-LSH for "
-            "bucketing=dynamic");
-      }
       std::unique_ptr<AnnIndex> index =
           std::make_unique<DbLsh>(params.value());
       return index;

@@ -332,20 +332,7 @@ Result<DbLshParams> DbLshParamsFromSpec(const IndexFactory::Spec& spec,
   reader.Key("early_stop_slack", &base.early_stop_slack);
   reader.Key("seed", &base.seed);
   reader.Key("bulk_load", &base.bulk_load);
-  std::string bucketing;
-  reader.Key("bucketing", &bucketing);
   DBLSH_RETURN_IF_ERROR(reader.Finish());
-  if (!bucketing.empty()) {
-    if (bucketing == "dynamic") {
-      base.bucketing = BucketingMode::kDynamicQueryCentric;
-    } else if (bucketing == "fixed") {
-      base.bucketing = BucketingMode::kFixedGrid;
-    } else {
-      return Status::InvalidArgument(
-          "bucketing must be \"dynamic\" or \"fixed\", got \"" + bucketing +
-          "\"");
-    }
-  }
   return base;
 }
 

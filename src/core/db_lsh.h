@@ -206,8 +206,8 @@ class DbLsh : public AnnIndex {
 };
 
 /// Applies spec keys (c, w0, k, l, t, r0, early_stop_slack, seed,
-/// bulk_load, bucketing=dynamic|fixed) on top of `base`. Shared by the
-/// DB-LSH and FB-LSH factory registrations.
+/// bulk_load) on top of `base`. Shared by the DB-LSH and FB-LSH factory
+/// registrations; the bucketing comes from `base` (FB-LSH's fixed grid).
 Result<DbLshParams> DbLshParamsFromSpec(const IndexFactory::Spec& spec,
                                         DbLshParams base);
 

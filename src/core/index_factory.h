@@ -103,7 +103,7 @@ class SpecReader {
   void Key(const std::string& key, double* out);
   /// Boolean keys accept 0/1/true/false.
   void Key(const std::string& key, bool* out);
-  /// Raw-token keys (e.g. bucketing=dynamic); no parsing beyond lookup.
+  /// Raw-token keys (e.g. storage=pq); no parsing beyond lookup.
   void Key(const std::string& key, std::string* out);
 
   /// Unsigned-integer keys (size_t, uint32_t, ...). A value that does not

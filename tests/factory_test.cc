@@ -116,6 +116,7 @@ TEST(IndexFactoryTest, FbLshSizeHintDrivesThePaperLRule) {
   EXPECT_EQ(dynamic_cast<const DbLsh*>(small.value().get())->params().l, 10u);
   EXPECT_EQ(dynamic_cast<const DbLsh*>(large.value().get())->params().l, 12u);
   EXPECT_EQ(large.value()->Name(), "FB-LSH");
+  // FB-LSH is the one spelling of fixed-grid bucketing; there is no key.
   EXPECT_FALSE(IndexFactory::Make("FB-LSH,bucketing=dynamic").ok());
 }
 
@@ -136,7 +137,7 @@ TEST(IndexFactoryTest, MalformedSpecsReturnStatusErrors) {
            "DB-LSH,c=abc",        // unparsable double
            "DB-LSH,l=-3",         // negative for unsigned
            "DB-LSH,zzz=1",        // unknown key
-           "DB-LSH,bucketing=diagonal",  // unknown enum token
+           "DB-LSH,bucketing=fixed",      // retired key: use FB-LSH
            "LinearScan,c=1.5",    // key on a parameterless method
            "PM-LSH,t_factor=x",   // unparsable double, baseline binder
            "DB-LSH,backend=kdtree",       // retired key: R*-trees only
