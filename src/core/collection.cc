@@ -129,8 +129,7 @@ Result<std::unique_ptr<Collection>> Collection::FromSpec(
   reader.Key("shards", &options.shards);
   reader.Key("rebuild", &rebuild_mode);
   reader.Key("storage", &storage_name);
-  size_t spec_m = 0;
-  reader.Key("m", &spec_m);
+  reader.Key("m", &options.pq_m);
   reader.Key("rerank", &options.rerank);
   reader.Key("durability", &options.durability_dir);
   reader.Key("compact_threshold", &options.compact_threshold);
@@ -159,11 +158,10 @@ Result<std::unique_ptr<Collection>> Collection::FromSpec(
     return Status::InvalidArgument(
         "collection key \"m\" requires storage=pq; " + std::string(kGrammar));
   }
-  if (has_m && spec_m == 0) {
+  if (options.pq_m == 0) {
     return Status::InvalidArgument(
         "collection key \"m\" must be >= 1; " + std::string(kGrammar));
   }
-  if (has_m) options.pq_m = spec_m;
   // m must fit the rows' dimension: the seed's, or the durable state's on
   // recovery. A seed without columns fixes no dimension, so there only an
   // explicit m is refused.

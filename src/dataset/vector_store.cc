@@ -21,6 +21,27 @@ size_t MatrixBookkeepingBytes(const FloatMatrix& m) {
          m.free_slots().size() * sizeof(uint32_t);
 }
 
+/// The centroid of `cb` (PqStore::kCentroids x dsub floats) nearest to the
+/// sub-vector `v`, the lowest index on ties: PQ's training assignment and
+/// its encoding.
+size_t NearestCentroid(const float* v, const float* cb, size_t dsub) {
+  float best = std::numeric_limits<float>::max();
+  size_t best_c = 0;
+  for (size_t c = 0; c < PqStore::kCentroids; ++c) {
+    const float* cent = cb + c * dsub;
+    float dist = 0.0f;
+    for (size_t d = 0; d < dsub; ++d) {
+      const float diff = v[d] - cent[d];
+      dist += diff * diff;
+    }
+    if (dist < best) {
+      best = dist;
+      best_c = c;
+    }
+  }
+  return best_c;
+}
+
 }  // namespace
 
 const char* StorageKindName(StorageKind kind) {
@@ -181,6 +202,8 @@ size_t QuantizedStore::resident_bytes() const {
 uint32_t QuantizedStore::InsertRow(const float* values, size_t len) {
   assert(len == matrix_->cols());
   if (!trained_) {
+    // An empty-seeded store trains on its first row, through the codec's
+    // own Train on a one-row matrix.
     Train(FloatMatrix(1, len, std::vector<float>(values, values + len)), {0});
     trained_ = true;
   }
@@ -441,21 +464,8 @@ void PqStore::Train(const FloatMatrix& rows,
     for (size_t iter = 0; iter < kLloydIters; ++iter) {
       bool moved = false;
       for (size_t p = 0; p < npoints; ++p) {
-        const float* v = rows.row(ids[p]) + begin;
-        float best = std::numeric_limits<float>::max();
-        size_t best_c = 0;
-        for (size_t c = 0; c < kCentroids; ++c) {
-          const float* cent = cb + c * dsub;
-          float dist = 0.0f;
-          for (size_t d = 0; d < dsub; ++d) {
-            const float diff = v[d] - cent[d];
-            dist += diff * diff;
-          }
-          if (dist < best) {
-            best = dist;
-            best_c = c;
-          }
-        }
+        const size_t best_c =
+            NearestCentroid(rows.row(ids[p]) + begin, cb, dsub);
         if (assign[p] != best_c) moved = true;
         assign[p] = static_cast<uint8_t>(best_c);
       }
@@ -483,24 +493,9 @@ void PqStore::Train(const FloatMatrix& rows,
 void PqStore::EncodeRow(const float* values, uint8_t* out) const {
   for (size_t j = 0; j < m(); ++j) {
     const size_t begin = sub_begin_[j];
-    const size_t dsub = sub_begin_[j + 1] - begin;
-    const float* v = values + begin;
-    const float* cb = codebooks_.data() + kCentroids * begin;
-    float best = std::numeric_limits<float>::max();
-    size_t best_c = 0;
-    for (size_t c = 0; c < kCentroids; ++c) {
-      const float* cent = cb + c * dsub;
-      float dist = 0.0f;
-      for (size_t d = 0; d < dsub; ++d) {
-        const float diff = v[d] - cent[d];
-        dist += diff * diff;
-      }
-      if (dist < best) {
-        best = dist;
-        best_c = c;
-      }
-    }
-    out[j] = static_cast<uint8_t>(best_c);
+    out[j] = static_cast<uint8_t>(
+        NearestCentroid(values + begin, codebooks_.data() + kCentroids * begin,
+                        sub_dim(j)));
   }
 }
 
