@@ -156,14 +156,16 @@ class VectorStore {
   /// matrix carries no store binding.
   virtual FloatMatrix DecodedCopy() const = 0;
 
-  /// Re-derives the quantization parameters from the rows currently live
-  /// and re-encodes every physical row, so a drifting insert stream stops
-  /// degrading into clamped codes. Deterministic: the new codes are a pure
+  /// Re-derives the quantization parameters from the live rows, as they
+  /// decode now, and re-encodes every physical row. Training on decoded
+  /// rows drops the pull of tombstoned rows (sq8's range narrows to the
+  /// live ones) but cannot restore what encoding lost: a row clamped at
+  /// insert decodes clamped. Deterministic: the new codes are a pure
   /// function of the old codes + params, which is what lets WAL replay
   /// (WalOp::kRetrain) and replication reproduce them byte-identically.
-  /// Returns true when the parameters changed (no-op for fp32 and for
-  /// stores with no live rows). Mutation: caller holds the writer lock and
-  /// rebuilds indexes afterwards.
+  /// Returns true when it retrained, whether or not the parameters moved
+  /// (false for fp32, an untrained store or no live rows). Mutation:
+  /// caller holds the writer lock and rebuilds indexes afterwards.
   virtual bool RetrainQuantizer() { return false; }
 
   // ---------------------------------------------------- persisted state --
