@@ -284,9 +284,6 @@ class QuantizedStore : public VectorStore {
   void MaterializeDecodeView() override;
   void ReleaseDecodeView() override;
   FloatMatrix DecodedCopy() const override;
-  /// Decodes every physical row with the current parameters, trains on
-  /// the live ones and re-encodes every row (tombstoned included), so the
-  /// codes stay a pure function of the old codes and parameters.
   bool RetrainQuantizer() override;
   std::span<const uint8_t> payload() const override;
   bool trained() const override { return trained_; }
